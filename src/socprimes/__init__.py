@@ -43,19 +43,10 @@ from .filters import (
     stage_legendre,
     stage_mod8,
 )
-from .modarith import inv_mod, jacobi, mul_mod, pow_mod, sqrt_mod
-from .polycong import (
-    CubicRootSet,
-    FactorParity,
-    MonicCubic,
-    cubic_discriminant,
-    cubic_roots,
-    factor_parity,
-    sextic_substitution_check,
-)
-from .primes import PrimeRange, enumerate_primes, is_prime, small_primes
+from .modarith import inv_mod, jacobi, sqrt_mod
+from .polycong import CubicRootSet, MonicCubic, cubic_discriminant, cubic_roots
+from .primes import PrimeRange, enumerate_primes, small_primes
 from .verifier import (
-    CollisionWitness,
     ScanMode,
     ScanStrategy,
     Verdict,
@@ -70,10 +61,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckpointError",
-    "CollisionWitness",
     "Counters",
     "CubicRootSet",
-    "FactorParity",
     "FilterCounts",
     "FilterOutcome",
     "FilterVerdict",
@@ -97,21 +86,16 @@ __all__ = [
     "enumerate_primes",
     "expected_count",
     "expected_count_log",
-    "factor_parity",
     "factorial_mod",
     "fp_histogram",
     "fp_statistic",
     "heuristic",
     "inv_mod",
-    "is_prime",
     "jacobi",
-    "mul_mod",
-    "pow_mod",
     "recheck_witness",
     "resume",
     "run_pipeline",
     "search",
-    "sextic_substitution_check",
     "small_primes",
     "sqrt_mod",
     "stage_cubic",

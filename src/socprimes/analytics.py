@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: fp_statistic allocates one byte per residue; refuse beyond this.
-DEFAULT_TABLE_LIMIT = 1 << 28
+TABLE_LIMIT = 1 << 28
 
 #: fp_histogram is quadratic in its limit; refuse beyond this unless the
 #: caller raises the budget explicitly.
@@ -60,27 +60,22 @@ class FpHistogram:
     min_f_primes: tuple[int, ...]
 
 
-def fp_statistic(p: int, *, include_zero: bool = True, table_limit: int = DEFAULT_TABLE_LIMIT) -> FpStatistic:
+def fp_statistic(p: int) -> FpStatistic:
     """Scan all of 1! .. (p-1)! mod p and count the residues never hit.
 
     0 is never a factorial value mod a prime, so it is always among the
-    missing; include_zero=False drops it from the count, switching to the
-    convention that only nonzero residues are candidates.  Socialist
-    means f_value == 2 under the default convention.
+    missing, and socialist means f_value == 2.
     """
     if p < 2:
         raise ValueError("need p >= 2")
-    if p > table_limit:
-        raise ValueError(f"p={p} exceeds the {table_limit}-byte scan table budget")
+    if p > TABLE_LIMIT:
+        raise ValueError(f"p={p} exceeds the {TABLE_LIMIT}-byte scan table budget")
     table = bytearray(p)
     f = 1
     for n in range(1, p):
         f = f * n % p
         table[f] = 1
-    missing = p - sum(table)
-    if not include_zero:
-        missing -= 1
-    return FpStatistic(p, missing)
+    return FpStatistic(p, p - sum(table))
 
 
 def _fp_pair(p: int) -> tuple[int, int]:

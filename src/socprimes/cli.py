@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .analytics import (
     DEFAULT_HISTOGRAM_BUDGET,
@@ -25,8 +26,6 @@ from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange
 from .verifier import ScanMode, ScanStrategy, VerdictKind, verify_distinct
 
 __all__ = ["main"]
-
-_STRATEGIES = {"auto": ScanMode.AUTO, "birthday": ScanMode.BIRTHDAY, "bitset": ScanMode.NAIVE_BITSET}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +99,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             range=PrimeRange(args.lo, args.hi, args.segment_size),
             output_path=args.out or "results.jsonl",
             threads=threads,
-            strategy=ScanStrategy(mode=_STRATEGIES[args.strategy], cap=args.cap),
             strict_cubic=args.strict_cubic,
             checkpoint_path=args.checkpoint,
             checkpoint_interval=args.checkpoint_interval,
@@ -115,22 +113,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    strategy = ScanStrategy(
-        mode=_STRATEGIES[args.strategy],
-        cap=args.cap,
-        escalate=not args.no_escalate,
-        use_reflection=args.reflection,
-    )
+    strategy = ScanStrategy(mode=ScanMode(args.strategy), cap=args.cap, escalate=not args.no_escalate)
     verdict = verify_distinct(args.p, strategy, neg_half_check=not args.no_neg_half)
     if args.json:
-        print(json.dumps({
-            "p": verdict.p,
-            "kind": verdict.kind.value,
-            "j": verdict.j,
-            "k": verdict.k,
-            "residue": verdict.residue,
-            "scanned_up_to": verdict.scanned_up_to,
-        }))
+        print(json.dumps({**asdict(verdict), "kind": verdict.kind.value}))
     else:
         p = verdict.p
         if verdict.kind is VerdictKind.COLLISION:
@@ -151,18 +137,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_filter_counts(args: argparse.Namespace) -> int:
     counts = count_filters(args.lo, args.hi, strict=args.strict_cubic)
     if args.json:
-        print(json.dumps({
-            "lo": counts.lo,
-            "hi": counts.hi,
-            "examined": counts.examined,
-            "rejected_mod8": counts.rejected_mod8,
-            "rejected_legendre5": counts.rejected_legendre5,
-            "rejected_legendre23": counts.rejected_legendre23,
-            "rejected_cubic": counts.rejected_cubic,
-            "candidates": counts.candidates,
-            "stage1_survivors": counts.stage1_survivors,
-            "stage2_survivors": counts.stage2_survivors,
-        }))
+        print(json.dumps(asdict(counts)))
         return 0
     rows = [
         ("primes examined", counts.examined),
@@ -265,10 +240,6 @@ def _build_parser() -> _Parser:
                     help="worker processes (default SOCPRIMES_THREADS, else CPU count)")
     sp.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE, metavar="N",
                     help=f"segment width (default {DEFAULT_SEGMENT_SIZE})")
-    sp.add_argument("--strategy", choices=sorted(_STRATEGIES), default="auto",
-                    help="duplicate scan strategy (default auto)")
-    sp.add_argument("--cap", type=int, metavar="N",
-                    help="birthday window size (default 64*ceil(sqrt(p)))")
     sp.add_argument("--strict-cubic", action="store_true",
                     help="test every cubic root even when (1957/p) = +1")
     sp.add_argument("--stop-after-segments", type=int, metavar="N",
@@ -278,13 +249,11 @@ def _build_parser() -> _Parser:
 
     vp = sub.add_parser("verify", help="scan one p for a factorial duplicate")
     vp.add_argument("p", type=int, help="odd number >= 5 to scan")
-    vp.add_argument("--strategy", choices=sorted(_STRATEGIES), default="auto",
-                    help="scan strategy (default auto)")
-    vp.add_argument("--cap", type=int, metavar="N", help="birthday window size")
+    vp.add_argument("--strategy", choices=[m.value for m in ScanMode], default=ScanMode.BIRTHDAY.value,
+                    help="scan strategy (default birthday)")
+    vp.add_argument("--cap", type=int, metavar="N", help="birthday window size (default 64*ceil(sqrt(p)))")
     vp.add_argument("--no-escalate", action="store_true",
                     help="let an exhausted birthday window return Inconclusive")
-    vp.add_argument("--reflection", action="store_true",
-                    help="derive second-half factorials from the first half (bitset scans)")
     vp.add_argument("--no-neg-half", action="store_true",
                     help="skip the k! == -((p-1)/2)! early exit")
     vp.add_argument("--json", action="store_true", help="emit the verdict as JSON")

@@ -27,9 +27,8 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
 
 from .filters import FilterVerdict, run_pipeline
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange, primes_in_segment, small_primes
@@ -52,6 +51,23 @@ logger = logging.getLogger(__name__)
 DOMAIN_START = 7
 
 CHECKPOINT_VERSION = 1
+
+#: Every checkpoint key resume reads, with its JSON type.  Other keys (such
+#: as the scan strategy block older checkpoints carry) are ignored.
+_CHECKPOINT_KEYS = {
+    "version": int,
+    "lo": int,
+    "hi": int,
+    "segment_size": int,
+    "strict_cubic": bool,
+    "checkpoint_interval": int,
+    "completed_through": int,
+    "counters": dict,
+    "socialist": list,
+    "output_path": str,
+    "output_offset": int,
+    "elapsed": float,
+}
 
 _COUNTER_FIELDS = (
     "examined",
@@ -91,10 +107,11 @@ class Counters:
 
     @classmethod
     def from_dict(cls, d: dict[str, int]) -> "Counters":
-        try:
-            return cls(**{name: int(d[name]) for name in _COUNTER_FIELDS})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"bad counters block: {exc}") from exc
+        values = {name: d.get(name) for name in _COUNTER_FIELDS}
+        bad = [name for name, v in values.items() if type(v) is not int]
+        if bad:
+            raise CheckpointError(f"bad counters block: {', '.join(bad)} not integers")
+        return cls(**values)
 
     def partitioned(self) -> bool:
         total = (
@@ -129,7 +146,6 @@ class SearchConfig:
     range: PrimeRange
     output_path: str
     threads: int = 1
-    strategy: ScanStrategy = field(default_factory=ScanStrategy)
     strict_cubic: bool = False
     checkpoint_path: str | None = None
     checkpoint_interval: int = 16
@@ -159,8 +175,6 @@ def _validate_config(config: SearchConfig) -> None:
         raise ValueError("threads must be >= 1")
     if config.checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be >= 1")
-    if not config.strategy.escalate:
-        raise ValueError("search needs an escalating strategy; Inconclusive verdicts have no record form")
     if config.stop_after_segments is not None:
         if config.stop_after_segments < 1:
             raise ValueError("stop_after_segments must be >= 1")
@@ -182,7 +196,7 @@ def _base_primes(limit: int) -> list[int]:
     return primes
 
 
-def _classify(p: int, strict: bool, strategy: ScanStrategy) -> tuple[int, dict | None]:
+def _classify(p: int, strict: bool) -> tuple[int, dict | None]:
     """Map one prime to its counter slot and (for stage-1 survivors) a record."""
     out = run_pipeline(p, strict)
     v = out.verdict
@@ -195,7 +209,7 @@ def _classify(p: int, strict: bool, strategy: ScanStrategy) -> tuple[int, dict |
     if v is FilterVerdict.REJECTED_CUBIC:
         return 4, {"p": p, "outcome": "RejectedCubic", "witness": {"y": out.y, "x": out.x}}
 
-    verdict = verify_distinct(p, strategy)
+    verdict = verify_distinct(p)
     if verdict.kind is VerdictKind.COLLISION:
         if not recheck_witness(p, verdict.j, verdict.k):
             raise ArithmeticError(f"collision witness for p={p} failed recheck")
@@ -223,13 +237,13 @@ def _classify(p: int, strict: bool, strategy: ScanStrategy) -> tuple[int, dict |
 
 
 def _segment_task(args: tuple) -> tuple[int, tuple[int, ...], list[dict]]:
-    seg_lo, seg_hi, sqrt_limit, strict, strategy = args
+    seg_lo, seg_hi, sqrt_limit, strict = args
     base = _base_primes(sqrt_limit)
     counters = [0] * len(_COUNTER_FIELDS)
     records: list[dict] = []
     for p in primes_in_segment(seg_lo, seg_hi, base):
         counters[0] += 1
-        slot, record = _classify(p, strict, strategy)
+        slot, record = _classify(p, strict)
         counters[slot] += 1
         if record is not None:
             records.append(record)
@@ -252,14 +266,6 @@ class _RunState:
     segments_done_this_run: int = 0
 
 
-def _segments_from(start: int, hi: int, width: int) -> Iterator[tuple[int, int]]:
-    lo = start
-    while lo < hi:
-        seg_hi = min(lo + width, hi)
-        yield lo, seg_hi
-        lo = seg_hi
-
-
 def _checkpoint_payload(config: SearchConfig, state: _RunState, elapsed: float) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
@@ -267,11 +273,6 @@ def _checkpoint_payload(config: SearchConfig, state: _RunState, elapsed: float) 
         "hi": state.hi,
         "segment_size": config.range.segment_size,
         "strict_cubic": config.strict_cubic,
-        "strategy": {
-            "mode": config.strategy.mode.value,
-            "cap": config.strategy.cap,
-            "use_reflection": config.strategy.use_reflection,
-        },
         "checkpoint_interval": config.checkpoint_interval,
         "completed_through": state.completed_through,
         "counters": state.counters.as_dict(),
@@ -297,15 +298,26 @@ def _load_checkpoint(path: str) -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint {path} has unsupported version {payload.get('version')!r}")
-    counters = Counters.from_dict(payload.get("counters", {}))
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
+    for key, kind in _CHECKPOINT_KEYS.items():
+        value = payload.get(key)
+        # exact types, because bool is an int subclass; elapsed may be whole
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise CheckpointError(f"checkpoint {path}: {key} must be {kind.__name__}, got {value!r}")
+    if payload["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint {path} has unsupported version {payload['version']}")
+    counters = Counters.from_dict(payload["counters"])
     if not counters.partitioned():
         raise CheckpointError("checkpoint counters do not partition examined")
+    if not all(type(p) is int for p in payload["socialist"]):
+        raise CheckpointError("checkpoint socialist list holds a non-integer")
     if not payload["lo"] <= payload["completed_through"] <= payload["hi"]:
         raise CheckpointError("checkpoint high-water mark outside its range")
+    if payload["output_offset"] < 0 or payload["checkpoint_interval"] < 1:
+        raise CheckpointError("checkpoint output_offset or checkpoint_interval out of range")
     return payload
 
 
@@ -326,12 +338,11 @@ def _commit(state: _RunState, out, counters: tuple[int, ...], records: list[dict
 
 
 def _run(config: SearchConfig, state: _RunState, out, started: float) -> RangeReport:
-    width = config.range.segment_size
     sqrt_limit = isqrt(max(state.hi - 1, 2))
     _base_primes(sqrt_limit)  # warm before forking so workers inherit it
     args = (
-        (lo, hi, sqrt_limit, config.strict_cubic, config.strategy)
-        for lo, hi in _segments_from(state.completed_through, state.hi, width)
+        (lo, hi, sqrt_limit, config.strict_cubic)
+        for lo, hi in PrimeRange(state.completed_through, state.hi, config.range.segment_size).segments()
     )
     stop_after = config.stop_after_segments
 
@@ -411,20 +422,19 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     payload = _load_checkpoint(checkpoint_path)
     started = time.monotonic()
     out_path = output_path or payload["output_path"]
-    offset = int(payload["output_offset"])
+    offset = payload["output_offset"]
+    try:
+        rng = PrimeRange(payload["lo"], payload["hi"], payload["segment_size"])
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint range is invalid: {exc}") from exc
 
     config = SearchConfig(
-        range=PrimeRange(payload["lo"], payload["hi"], int(payload["segment_size"])),
+        range=rng,
         output_path=out_path,
         threads=threads if threads is not None else 1,
-        strategy=ScanStrategy(
-            mode=ScanMode(payload["strategy"]["mode"]),
-            cap=payload["strategy"]["cap"],
-            use_reflection=bool(payload["strategy"].get("use_reflection", False)),
-        ),
-        strict_cubic=bool(payload["strict_cubic"]),
+        strict_cubic=payload["strict_cubic"],
         checkpoint_path=checkpoint_path,
-        checkpoint_interval=int(payload.get("checkpoint_interval", 16)),
+        checkpoint_interval=payload["checkpoint_interval"],
         stop_after_segments=stop_after_segments,
     )
     _validate_config(config)
@@ -443,13 +453,13 @@ def resume(checkpoint_path: str, output_path: str | None = None,
         out.seek(offset)
 
     state = _RunState(
-        lo=int(payload["lo"]),
-        hi=int(payload["hi"]),
+        lo=payload["lo"],
+        hi=payload["hi"],
         counters=Counters.from_dict(payload["counters"]),
-        completed_through=int(payload["completed_through"]),
-        socialist=[int(p) for p in payload.get("socialist", [])],
+        completed_through=payload["completed_through"],
+        socialist=payload["socialist"],
         bytes_written=offset,
-        prior_elapsed=float(payload.get("elapsed", 0.0)),
+        prior_elapsed=payload["elapsed"],
         resumed=True,
     )
     return _run(config, state, out, started)

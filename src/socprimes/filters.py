@@ -64,15 +64,13 @@ class FilterVerdict(Enum):
 class FilterOutcome:
     """Pipeline result for one prime.
 
-    stage_reached is the last stage that actually ran (0, 1 or 2).  For
-    REJECTED_CUBIC, y is the offending cubic root and x the lifted
+    For REJECTED_CUBIC, y is the offending cubic root and x the lifted
     collision seed with (x+5)! == (x-1)! mod p, equivalently
     x(x+1)...(x+5) == 1.
     """
 
     p: int
     verdict: FilterVerdict
-    stage_reached: int
     y: int | None = None
     x: int | None = None
 
@@ -127,14 +125,14 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
 def run_pipeline(p: int, strict: bool = False) -> FilterOutcome:
     """Run the stages in cost order for one prime p > 5."""
     if not stage_mod8(p):
-        return FilterOutcome(p, FilterVerdict.REJECTED_MOD8, stage_reached=0)
+        return FilterOutcome(p, FilterVerdict.REJECTED_MOD8)
     legendre = stage_legendre(p)
     if legendre is not None:
-        return FilterOutcome(p, legendre, stage_reached=1)
+        return FilterOutcome(p, legendre)
     hit = stage_cubic(p, strict)
     if hit is not None:
-        return FilterOutcome(p, FilterVerdict.REJECTED_CUBIC, stage_reached=2, y=hit[0], x=hit[1])
-    return FilterOutcome(p, FilterVerdict.CANDIDATE, stage_reached=2)
+        return FilterOutcome(p, FilterVerdict.REJECTED_CUBIC, y=hit[0], x=hit[1])
+    return FilterOutcome(p, FilterVerdict.CANDIDATE)
 
 
 @dataclass

@@ -10,27 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
-__all__ = ["mul_mod", "pow_mod", "inv_mod", "jacobi", "sqrt_mod"]
-
-
-def mul_mod(a: int, b: int, m: int) -> int:
-    """Return ``a * b mod m``.
-
-    Exact for arbitrary magnitudes since Python ints do not overflow.  The
-    point of routing products through one helper is that every residue the
-    package produces is normalised into ``[0, m)``, including when the
-    inputs are negative.
-    """
-    if m <= 0:
-        raise ValueError("modulus must be positive")
-    return a * b % m
-
-
-def pow_mod(a: int, e: int, m: int) -> int:
-    """Return ``a**e mod m`` for ``e >= 0`` by square and multiply."""
-    if e < 0:
-        raise ValueError("negative exponent; use inv_mod for inverses")
-    return pow(a, e, m)
+__all__ = ["inv_mod", "jacobi", "sqrt_mod"]
 
 
 def inv_mod(a: int, p: int) -> int:

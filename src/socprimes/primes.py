@@ -1,6 +1,5 @@
-"""Primality testing and bulk prime enumeration over 64-bit ranges.
+"""Bulk prime enumeration over 64-bit ranges.
 
-``is_prime`` is a deterministic Miller-Rabin test valid for all n < 2^64.
 Range enumeration uses a segmented sieve of Eratosthenes so memory stays
 O(segment_size + sqrt(hi)) no matter how wide the range is.
 """
@@ -12,44 +11,9 @@ from itertools import compress
 from math import isqrt
 from typing import Iterator, Sequence
 
-__all__ = ["is_prime", "small_primes", "PrimeRange", "enumerate_primes", "primes_in_segment"]
+__all__ = ["small_primes", "PrimeRange", "enumerate_primes", "primes_in_segment"]
 
 DEFAULT_SEGMENT_SIZE = 1 << 16
-
-# Sprp bases covering every n < 2^64 (Sinclair's seven-base set).
-_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministically decide primality for 0 <= n < 2^64."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    # n odd, > 37: write n - 1 = d * 2^s and run strong tests.
-    d = n - 1
-    s = 0
-    while d & 1 == 0:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def small_primes(limit: int) -> list[int]:
     """All primes <= limit by a flat byte sieve. Intended for limit <= ~10^8."""

@@ -21,14 +21,13 @@ is never wrong and never escalates, at the price of O(p) memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
 __all__ = [
     "VerdictKind",
     "Verdict",
-    "CollisionWitness",
     "ScanMode",
     "ScanStrategy",
     "default_cap",
@@ -46,7 +45,6 @@ class VerdictKind(Enum):
 
 
 class ScanMode(Enum):
-    AUTO = "auto"
     BIRTHDAY = "birthday"
     NAIVE_BITSET = "bitset"
 
@@ -57,16 +55,12 @@ class ScanStrategy:
 
     cap bounds the birthday dict (None means 64 * ceil(sqrt(p))).
     escalate controls whether an exhausted birthday window restarts as a
-    bitset scan or returns an Inconclusive verdict.  use_reflection makes
-    the bitset scan derive the second-half factorials from the stored
-    first half through (p-1-k)! == (-1)^(k+1) / k! instead of extending
-    the product chain; it exists as a checkable variant, not a speedup.
+    bitset scan or returns an Inconclusive verdict.
     """
 
-    mode: ScanMode = ScanMode.AUTO
+    mode: ScanMode = ScanMode.BIRTHDAY
     cap: int | None = None
     escalate: bool = True
-    use_reflection: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,29 +78,6 @@ class Verdict:
     k: int | None = None
     residue: int | None = None
     scanned_up_to: int = 0
-
-
-@dataclass(frozen=True)
-class CollisionWitness:
-    """A checkable claim that j! == k! == residue (mod p) with j < k."""
-
-    p: int
-    j: int
-    k: int
-    residue: int
-
-    @classmethod
-    def from_verdict(cls, verdict: Verdict) -> "CollisionWitness":
-        if verdict.kind is not VerdictKind.COLLISION:
-            raise ValueError(f"{verdict.kind.value} verdict carries no collision witness")
-        assert verdict.j is not None and verdict.k is not None and verdict.residue is not None
-        return cls(verdict.p, verdict.j, verdict.k, verdict.residue)
-
-    def recheck(self) -> bool:
-        return (
-            recheck_witness(self.p, self.j, self.k)
-            and factorial_mod(self.k, self.p) == self.residue
-        )
 
 
 def default_cap(p: int) -> int:
@@ -156,7 +127,7 @@ def verify_distinct(p: int, strategy: ScanStrategy | None = None, *, neg_half_ch
     check_neg = neg_half_check and p & 3 == 1
 
     if strategy.mode is ScanMode.NAIVE_BITSET:
-        return _scan_bitset(p, check_neg, strategy.use_reflection)
+        return _scan_bitset(p, check_neg)
 
     cap = strategy.cap if strategy.cap is not None else default_cap(p)
     if cap < 1:
@@ -165,7 +136,7 @@ def verify_distinct(p: int, strategy: ScanStrategy | None = None, *, neg_half_ch
     if verdict is not None:
         return verdict
     if strategy.escalate:
-        return _scan_bitset(p, check_neg, strategy.use_reflection)
+        return _scan_bitset(p, check_neg)
     return Verdict(p, VerdictKind.INCONCLUSIVE, scanned_up_to=min(p - 1, cap + 1))
 
 
@@ -216,58 +187,21 @@ def _first_index_of(p: int, residue: int, below: int) -> int:
     raise AssertionError("collision residue vanished on re-scan")
 
 
-def _scan_bitset(p: int, check_neg: bool, reflect: bool) -> Verdict:
+def _scan_bitset(p: int, check_neg: bool) -> Verdict:
     """Full scan against a p-bit membership table. Never inconclusive."""
     table = bytearray((p >> 3) + 1)
     half = (p - 1) >> 1
     f = 1
-    # the midpoint is treated separately when either the -h check needs to
-    # capture ((p-1)/2)! or reflection switches formulas there
-    split = check_neg or reflect
-    first_half: list[int] | None = [1] * (half + 1) if reflect else None
     neg_h = -1
-
-    phase1_end = half - 1 if split else p - 1
-    for k in range(2, phase1_end + 1):
+    for k in range(2, p):
         f = f * k % p
         i = f >> 3
         bit = 1 << (f & 7)
         if table[i] & bit:
             return Verdict(p, VerdictKind.COLLISION, _first_index_of(p, f, k), k, f, scanned_up_to=k)
-        table[i] |= bit
-        if first_half is not None:
-            first_half[k] = f
-
-    if split:
-        f = f * half % p
-        i = f >> 3
-        bit = 1 << (f & 7)
-        if table[i] & bit:
-            return Verdict(p, VerdictKind.COLLISION, _first_index_of(p, f, half), half, f, scanned_up_to=half)
-        table[i] |= bit
-        if first_half is not None:
-            first_half[half] = f
-        if check_neg:
+        if f == neg_h:
+            return Verdict(p, VerdictKind.NEG_HALF_HIT, None, k, f, scanned_up_to=k)
+        if check_neg and k == half:
             neg_h = p - f
-
-        inv_cur = 0
-        for k in range(half + 1, p):
-            if reflect:
-                # k! == (-1)^(k+1) / (p-1-k)!, walking the inverse down:
-                # inv((t-1)!) == inv(t!) * t with t == p - k
-                if k == half + 1:
-                    inv_cur = pow(first_half[half - 1], -1, p)
-                else:
-                    inv_cur = inv_cur * (p - k) % p
-                f = inv_cur if k & 1 else p - inv_cur
-            else:
-                f = f * k % p
-            i = f >> 3
-            bit = 1 << (f & 7)
-            if table[i] & bit:
-                return Verdict(p, VerdictKind.COLLISION, _first_index_of(p, f, k), k, f, scanned_up_to=k)
-            if f == neg_h:
-                return Verdict(p, VerdictKind.NEG_HALF_HIT, None, k, f, scanned_up_to=k)
-            table[i] |= bit
-
+        table[i] |= bit
     return Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1)

@@ -4,9 +4,19 @@ Everything here is deliberately naive: trial division, Euler's criterion,
 full-range root scans, a dict-only factorial walk.  The point is an
 arithmetic path independent of the package's production code, so the two
 can disagree loudly when one is wrong.
+
+The exception is the theorem checks at the end (factor parity and the
+sextic substitution): they check the laws the filter stages stand on,
+using the package's own root finder and symbol, and only tests call them.
 """
 
+from dataclasses import dataclass
+from typing import Sequence
+
 from hypothesis import HealthCheck, settings
+
+from socprimes.modarith import jacobi
+from socprimes.polycong import MonicCubic, cubic_discriminant, cubic_roots
 
 settings.register_profile(
     "suite",
@@ -71,3 +81,70 @@ def verdict_tuple(v) -> tuple:
     if kind == "NegHalfHit":
         return ("NegHalfHit", v.k, v.residue)
     return (kind,)
+
+
+@dataclass(frozen=True)
+class FactorParity:
+    """Factorisation shape of one squarefree polynomial mod p.
+
+    ``nu`` is the number of irreducible factors and ``symbol`` the Jacobi
+    symbol of the discriminant.  Stickelberger's parity law says
+    ``symbol == (-1) ** (degree - nu)`` whenever p does not divide the
+    discriminant; ``holds`` reports exactly that comparison.
+    """
+
+    degree: int
+    nu: int
+    discriminant: int
+    symbol: int
+
+    @property
+    def holds(self) -> bool:
+        return self.symbol == (-1) ** (self.degree - self.nu)
+
+
+def factor_parity(coeffs: Sequence[int], p: int) -> FactorParity:
+    """Count irreducible factors of a monic squarefree polynomial mod p.
+
+    ``coeffs`` is low-to-high and must end with 1; degree 1 to 3 is
+    supported.  Raises ``ValueError`` when p divides the discriminant,
+    since the factor count below relies on the reduction staying
+    squarefree.
+    """
+    if len(coeffs) < 2 or len(coeffs) > 4 or coeffs[-1] != 1:
+        raise ValueError("need a monic polynomial of degree 1 to 3")
+    degree = len(coeffs) - 1
+    if degree == 1:
+        disc = 1
+    elif degree == 2:
+        disc = coeffs[1] ** 2 - 4 * coeffs[0]
+    else:
+        disc = cubic_discriminant(MonicCubic(coeffs[2], coeffs[1], coeffs[0]))
+    if disc % p == 0:
+        raise ValueError(f"{p} divides the discriminant {disc}")
+
+    if degree == 1:
+        nu = 1
+    elif degree == 2:
+        nu = 2 if jacobi(disc, p) == 1 else 1
+    else:
+        k = len(cubic_roots(MonicCubic(coeffs[2], coeffs[1], coeffs[0]), p).roots)
+        # squarefree cubic: 3 roots, 1 root, or none; 2 would need a
+        # repeated factor
+        nu = {3: 3, 1: 2, 0: 1}[k]
+    return FactorParity(degree=degree, nu=nu, discriminant=disc, symbol=jacobi(disc, p))
+
+
+def sextic_substitution_check(x: int, p: int) -> bool:
+    """Verify x(x+1)...(x+5) == y(y+4)(y+6) mod p for y = x(x+5).
+
+    This is an identity, so the return value is True for every x and p;
+    it exists as a checkable artifact because the whole second filter
+    stage stands on it.
+    """
+    lhs = 1
+    for k in range(6):
+        lhs = lhs * (x + k) % p
+    y = x * (x + 5) % p
+    rhs = y * (y + 4) % p * (y + 6) % p
+    return lhs == rhs

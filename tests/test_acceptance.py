@@ -4,6 +4,7 @@ Each test prints a single ACCEPTANCE PASS/FAIL line so a log scrape can
 grade the run: pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import json
 import math
 import random
@@ -13,14 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_cubic_roots, naive_primes
+from conftest import brute_cubic_roots, factor_parity, naive_primes, sextic_substitution_check
 from socprimes.analytics import fp_histogram, fp_statistic, heuristic
 from socprimes.engine import Counters, SearchConfig, resume, search
 from socprimes.filters import SIX_TERM_CUBIC, THREE_TERM_CUBIC, count_filters
 from socprimes.modarith import jacobi
-from socprimes.polycong import cubic_discriminant, cubic_roots, factor_parity, sextic_substitution_check
-from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange, is_prime
-from socprimes.verifier import CollisionWitness, ScanMode, ScanStrategy, verify_distinct
+from socprimes.polycong import cubic_discriminant, cubic_roots
+from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange, small_primes
+from socprimes.verifier import ScanMode, ScanStrategy, factorial_mod, recheck_witness, verify_distinct
 
 SURVIVORS_BELOW_1000 = [13, 173, 197, 277, 317, 397, 653, 853, 877, 997]
 
@@ -28,6 +29,9 @@ COUNTERS_1E6 = Counters(
     examined=78495, rejected_mod8=58873, rejected_legendre5=9785,
     rejected_legendre23=4929, rejected_cubic=1246, collisions=3662,
 )
+
+#: sha256 of the results file of search over [7, 10^6)
+SHA256_1E6 = "b4858987d556ee8afb8f3a987395eb08b7e3cd886fb1d36bf328904773b62291"
 
 COUNTERS_1E7 = Counters(
     examined=664576, rejected_mod8=498373, rejected_legendre5=83134,
@@ -55,17 +59,6 @@ def million_run(tmp_path_factory):
     with open(out, encoding="ascii") as fh:
         records = [json.loads(line) for line in fh]
     return report, records, elapsed
-
-
-def seeded_primes(rng, lo, hi, n, exclude=()):
-    found = []
-    while len(found) < n:
-        q = rng.randrange(lo, hi) | 1
-        while not is_prime(q):
-            q += 2
-        if q not in exclude:
-            found.append(q)
-    return found
 
 
 def test_survivor_list_below_1000():
@@ -104,11 +97,14 @@ def test_full_search_to_one_million(million_run):
         assert report.complete
         assert report.socialist_primes == []
         assert report.counters == COUNTERS_1E6
+        with open(report.output_path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == SHA256_1E6
         collisions = [r for r in records if r["outcome"] == "Collision"]
         assert len(collisions) == 3662
         for rec in collisions:
             w = rec["witness"]
-            assert CollisionWitness(rec["p"], w["j"], w["k"], w["residue"]).recheck(), rec["p"]
+            p = rec["p"]
+            assert recheck_witness(p, w["j"], w["k"]) and factorial_mod(w["k"], p) == w["residue"], p
         assert elapsed < 600.0, f"took {elapsed:.2f}s, budget is 600s"
 
 
@@ -196,12 +192,15 @@ def test_classical_identities():
             if p % 8 == 5:
                 assert jacobi(2, p) == -1, p
 
-        # factor-count parity against the discriminant symbol
+        # factor-count parity against the discriminant symbol, on primes
+        # above every divisor of the discriminants 5 and 1957 = 19 * 103
+        odd_primes = small_primes(10**6)[1:]
+        above_1000 = [p for p in odd_primes if p > 10**3]
         rng = random.Random(5)
-        for p in seeded_primes(rng, 10**3, 10**6, 500, exclude=(5,)):
+        for p in rng.choices(above_1000, k=500):
             assert factor_parity((-1, 1, 1), p).holds, p
         rng = random.Random(1957)
-        for p in seeded_primes(rng, 10**3, 10**6, 500, exclude=(19, 103)):
+        for p in rng.choices(above_1000, k=500):
             assert factor_parity((-1, 24, 10, 1), p).holds, p
 
         assert cubic_discriminant(SIX_TERM_CUBIC) == 1957
@@ -209,10 +208,7 @@ def test_classical_identities():
 
         # the six-term product really does compress through y = x(x+5)
         rng = random.Random(6)
-        for _ in range(10**4):
-            p = rng.randrange(3, 10**6) | 1
-            while not is_prime(p):
-                p += 2
+        for p in rng.choices(odd_primes, k=10**4):
             assert sextic_substitution_check(rng.randrange(p), p)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import naive_primes
+from socprimes import analytics
 from socprimes.analytics import (
     expected_count,
     expected_count_log,
@@ -31,16 +32,12 @@ class TestFpStatistic:
     def test_socialist_means_two(self):
         assert fp_statistic(5).f_value == 2
 
-    def test_zero_convention(self):
-        for p in (5, 13, 97):
-            with_zero = fp_statistic(p).f_value
-            assert fp_statistic(p, include_zero=False).f_value == with_zero - 1
-
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             fp_statistic(1)
+        monkeypatch.setattr(analytics, "TABLE_LIMIT", 10)
         with pytest.raises(ValueError):
-            fp_statistic(11, table_limit=10)
+            fp_statistic(11)
 
     @given(st.sampled_from([p for p in naive_primes(500) if p >= 5]))
     def test_matches_set_scan(self, p):

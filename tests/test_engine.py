@@ -1,10 +1,14 @@
+import copy
 import io
 import json
 import logging
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from socprimes.cli import main
 from socprimes.engine import (
     DOMAIN_START,
     CheckpointError,
@@ -16,7 +20,10 @@ from socprimes.engine import (
     search,
 )
 from socprimes.primes import PrimeRange
-from socprimes.verifier import CollisionWitness, ScanStrategy, factorial_mod
+from socprimes.verifier import ScanStrategy, factorial_mod, recheck_witness
+
+NOT_OBJECTS = ([], [7, 3000], "checkpoint", 7, 7.5, None, True)
+WRONG_TYPES = (None, "7", 7.5, True, [7], {"lo": 7})
 
 
 def run_search(tmp_path, lo, hi, name="out.jsonl", **kw):
@@ -94,7 +101,7 @@ class TestFrozenRange:
                     prod = prod * (w["x"] + i) % p
                 assert prod == 1, p
             elif rec["outcome"] == "Collision":
-                assert CollisionWitness(p, w["j"], w["k"], w["residue"]).recheck(), p
+                assert recheck_witness(p, w["j"], w["k"]) and factorial_mod(w["k"], p) == w["residue"], p
             else:
                 pytest.fail(f"unexpected outcome below 5000: {rec}")
 
@@ -131,8 +138,6 @@ class TestConfigValidation:
             search(SearchConfig(rng, out, threads=0))
         with pytest.raises(ValueError):
             search(SearchConfig(rng, out, checkpoint_interval=0))
-        with pytest.raises(ValueError):
-            search(SearchConfig(rng, out, strategy=ScanStrategy(escalate=False)))
         with pytest.raises(ValueError):
             search(SearchConfig(rng, out, stop_after_segments=1))
         with pytest.raises(ValueError):
@@ -224,46 +229,96 @@ class TestCheckpointResume:
         assert payload["output_offset"] == len(open(report.output_path, "rb").read())
 
 
-class TestCheckpointValidation:
-    def make_checkpoint(self, tmp_path):
-        ckpt = str(tmp_path / "c.json")
-        cfg = SearchConfig(
-            range=PrimeRange(7, 3000, 512),
-            output_path=str(tmp_path / "o.jsonl"),
-            checkpoint_path=ckpt,
-            checkpoint_interval=1,
-            stop_after_segments=2,
-        )
-        search(cfg)
-        return ckpt, json.loads(open(ckpt).read())
+def make_checkpoint(tmp_path):
+    ckpt = str(tmp_path / "c.json")
+    cfg = SearchConfig(
+        range=PrimeRange(7, 3000, 512),
+        output_path=str(tmp_path / "o.jsonl"),
+        checkpoint_path=ckpt,
+        checkpoint_interval=1,
+        stop_after_segments=2,
+    )
+    search(cfg)
+    return ckpt, json.loads(open(ckpt).read())
 
+
+@pytest.fixture(scope="module")
+def stopped_checkpoint(tmp_path_factory):
+    return make_checkpoint(tmp_path_factory.mktemp("damage"))
+
+
+@st.composite
+def damaged(draw, payload):
+    """payload with one key dropped or retyped, or a non-object document."""
+    how = draw(st.sampled_from(("drop", "retype", "replace")))
+    if how == "replace":
+        return draw(st.sampled_from(NOT_OBJECTS))
+    doc = copy.deepcopy(payload)
+    paths = [(doc, key) for key in doc] + [(doc["counters"], key) for key in doc["counters"]]
+    parent, key = draw(st.sampled_from(paths))
+    if how == "drop":
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from([v for v in WRONG_TYPES if type(v) is not type(parent[key])]))
+    return doc
+
+
+class TestCheckpointValidation:
     def rewrite(self, ckpt, payload):
         with open(ckpt, "w") as fh:
             json.dump(payload, fh)
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_damaged_checkpoint_is_a_checkpoint_error(self, stopped_checkpoint, data):
+        ckpt, payload = stopped_checkpoint
+        results = open(payload["output_path"], "rb").read()
+        self.rewrite(ckpt, data.draw(damaged(payload)))
+        with pytest.raises(CheckpointError):
+            resume(ckpt)
+        assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
+        assert open(payload["output_path"], "rb").read() == results
+
+    def test_negative_offset(self, tmp_path):
+        ckpt, payload = make_checkpoint(tmp_path)
+        payload["output_offset"] = -1
+        self.rewrite(ckpt, payload)
+        with pytest.raises(CheckpointError):
+            resume(ckpt)
+
+    def test_old_strategy_block_is_ignored(self, tmp_path):
+        # checkpoints written while search still took a scan strategy
+        full = run_search(tmp_path, 7, 3000, name="full.jsonl", segment_size=512)
+        ckpt, payload = make_checkpoint(tmp_path)
+        payload["strategy"] = {"mode": "auto", "cap": None, "use_reflection": False}
+        self.rewrite(ckpt, payload)
+        resumed = resume(ckpt)
+        assert resumed.complete and resumed.counters == full.counters
+        assert open(resumed.output_path, "rb").read() == open(full.output_path, "rb").read()
+
     def test_bad_version(self, tmp_path):
-        ckpt, payload = self.make_checkpoint(tmp_path)
+        ckpt, payload = make_checkpoint(tmp_path)
         payload["version"] = 99
         self.rewrite(ckpt, payload)
         with pytest.raises(CheckpointError):
             resume(ckpt)
 
     def test_unpartitioned_counters(self, tmp_path):
-        ckpt, payload = self.make_checkpoint(tmp_path)
+        ckpt, payload = make_checkpoint(tmp_path)
         payload["counters"]["examined"] += 1
         self.rewrite(ckpt, payload)
         with pytest.raises(CheckpointError):
             resume(ckpt)
 
     def test_high_water_outside_range(self, tmp_path):
-        ckpt, payload = self.make_checkpoint(tmp_path)
+        ckpt, payload = make_checkpoint(tmp_path)
         payload["completed_through"] = payload["hi"] + 1
         self.rewrite(ckpt, payload)
         with pytest.raises(CheckpointError):
             resume(ckpt)
 
     def test_not_json(self, tmp_path):
-        ckpt, _ = self.make_checkpoint(tmp_path)
+        ckpt, _ = make_checkpoint(tmp_path)
         open(ckpt, "w").write("not json{")
         with pytest.raises(CheckpointError):
             resume(ckpt)
@@ -273,7 +328,7 @@ class TestCheckpointValidation:
             resume(str(tmp_path / "absent.json"))
 
     def test_output_shorter_than_offset(self, tmp_path):
-        ckpt, payload = self.make_checkpoint(tmp_path)
+        ckpt, payload = make_checkpoint(tmp_path)
         open(payload["output_path"], "wb").write(b"{}")
         if payload["output_offset"] <= 2:
             pytest.skip("stopped leg committed no records; offset too small to undercut")
@@ -281,7 +336,7 @@ class TestCheckpointValidation:
             resume(ckpt)
 
     def test_output_missing(self, tmp_path):
-        ckpt, payload = self.make_checkpoint(tmp_path)
+        ckpt, payload = make_checkpoint(tmp_path)
         os.remove(payload["output_path"])
         if payload["output_offset"] == 0:
             pytest.skip("offset 0 legitimately recreates the file")

@@ -3,42 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import euler_symbol, naive_primes
-from socprimes.modarith import inv_mod, jacobi, mul_mod, pow_mod, sqrt_mod
+from socprimes.modarith import inv_mod, jacobi, sqrt_mod
 
 ODD_PRIMES = [p for p in naive_primes(2000) if p > 2]
 
 odd_primes = st.sampled_from(ODD_PRIMES)
-
-
-class TestMulMod:
-    def test_large_operands_exact(self):
-        assert mul_mod(10**9 + 6, 10**9 + 6, 2**31 - 1) == 241624465
-
-    def test_negative_operands_normalised(self):
-        assert mul_mod(-3, 5, 13) == 11
-        assert mul_mod(-3, -5, 13) == 2
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            mul_mod(1, 1, 0)
-
-    @given(st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64), st.integers(1, 2**63))
-    def test_matches_builtin(self, a, b, m):
-        assert mul_mod(a, b, m) == (a * b) % m
-
-
-class TestPowMod:
-    def test_matches_builtin(self):
-        assert pow_mod(3, 45, 13) == pow(3, 45, 13)
-        assert pow_mod(0, 0, 7) == 1
-
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            pow_mod(3, -1, 13)
-
-    @given(st.integers(0, 2**32), st.integers(0, 10**6), odd_primes)
-    def test_property(self, a, e, p):
-        assert pow_mod(a, e, p) == pow(a, e, p)
 
 
 class TestInvMod:

@@ -2,15 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_cubic_roots, euler_symbol, naive_primes
-from socprimes.polycong import (
-    CubicRootSet,
-    MonicCubic,
-    cubic_discriminant,
-    cubic_roots,
-    factor_parity,
-    sextic_substitution_check,
-)
+from conftest import brute_cubic_roots, euler_symbol, factor_parity, naive_primes, sextic_substitution_check
+from socprimes.polycong import CubicRootSet, MonicCubic, cubic_discriminant, cubic_roots
 
 ODD_PRIMES = [p for p in naive_primes(2000) if p > 2]
 

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,39 +9,11 @@ from socprimes.primes import (
     DEFAULT_SEGMENT_SIZE,
     PrimeRange,
     enumerate_primes,
-    is_prime,
     primes_in_segment,
     small_primes,
 )
 
 NAIVE_BELOW_10K = naive_primes(10**4)
-
-
-class TestIsPrime:
-    def test_exhaustive_below_ten_thousand(self):
-        expected = set(NAIVE_BELOW_10K)
-        for n in range(10**4):
-            assert is_prime(n) == (n in expected), n
-
-    def test_classic_pseudoprimes(self):
-        # Carmichael numbers and strong pseudoprimes to small bases
-        for n in (561, 1105, 1729, 2047, 3215031751, 3825123056546413051):
-            assert not is_prime(n), n
-
-    def test_large_primes(self):
-        assert is_prime(2**61 - 1)
-        assert is_prime(10**9 + 7)
-        assert is_prime(18446744073709551557)  # largest prime below 2^64
-
-    def test_large_composites(self):
-        assert not is_prime(2**62 - 1)
-        assert not is_prime((10**9 + 7) * (10**9 + 9))
-
-    def test_edges(self):
-        assert not is_prime(0)
-        assert not is_prime(1)
-        assert is_prime(2)
-        assert not is_prime(-7)
 
 
 class TestSmallPrimes:
@@ -105,10 +79,10 @@ class TestEnumeratePrimes:
         assert list(enumerate_primes(PrimeRange(lo, hi, seg))) == want
 
     def test_high_window(self):
-        # window straddling 10^9 against is_prime as an independent check
+        # window straddling 10^9 against trial division as an independent check
         lo, hi = 10**9 - 100, 10**9 + 100
         got = list(enumerate_primes(PrimeRange(lo, hi)))
-        want = [n for n in range(lo, hi) if is_prime(n)]
+        want = [n for n in range(lo, hi) if all(n % d for d in range(2, isqrt(n) + 1))]
         assert got == want and len(got) > 0
 
 
