@@ -41,7 +41,9 @@ def main() -> int:
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="worker processes (default: CPU count)")
     ap.add_argument("--segments-per-leg", type=int, default=256,
-                    help="segments between progress lines (default 256, about 17M numbers)")
+                    help="segments per leg, i.e. between progress lines (default 256, about 17M "
+                         "numbers).  Each leg ends with up to threads - 1 segments computed and "
+                         "thrown away: that per-leg overhead is spread over this many segments")
     args = ap.parse_args()
 
     if os.path.exists(args.checkpoint):

@@ -4,7 +4,11 @@ The range is cut into fixed-width segments.  Workers sieve and classify
 their segment independently; the coordinator commits results strictly in
 segment order, so the output stream and every counter are deterministic
 functions of the range alone, independent of thread count and of how the
-range is segmented.
+range is segmented.  With more than one worker, at most `threads`
+segments are in flight: the next one is submitted as one finishes, and
+a leg stopped by stop_after_segments submits no more than `threads - 1`
+segments past its stop, so it leaves at most that many still running
+after it returns.
 
 The results file is line-delimited JSON holding one record per prime
 that survived stage 1 of the filter pipeline: cubic rejections carry a
@@ -13,11 +17,13 @@ NegHalfHit {k, residue} witness, and any Socialist verdict is re-proved
 with an independent full bitset scan before being written.
 
 A checkpoint is a small JSON document naming the range, the committed
-high-water mark, the counters and the byte length of the results file at
-commit time.  Writes are atomic (tmp file + os.replace), and resume
-truncates the results file back to the recorded offset, so a run killed
-at any instant restarts cleanly and reproduces the exact bytes an
-uninterrupted run would have produced.
+high-water mark, the counters, and the byte length, record count and
+sha256 of the results file at commit time.  Writes are atomic (tmp file +
+os.replace).  Resume checks the results file's committed prefix against
+that count and digest, then truncates the file back to the recorded
+offset, so a run killed at any instant restarts cleanly and reproduces
+the exact bytes an uninterrupted run would have produced, and a resume
+pointed at the wrong results file fails instead of adopting it.
 """
 
 from __future__ import annotations
@@ -26,13 +32,19 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Iterator
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from dataclasses import dataclass, field
+from itertools import count, islice
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from .filters import FilterVerdict, run_pipeline
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange, primes_in_segment, small_primes
 from .verifier import ScanMode, ScanStrategy, VerdictKind, factorial_mod, recheck_witness, verify_distinct
+
+if TYPE_CHECKING:
+    import hashlib
 
 __all__ = [
     "DOMAIN_START",
@@ -50,7 +62,7 @@ logger = logging.getLogger(__name__)
 #: Smallest prime the search examines; the problem statement is p > 5.
 DOMAIN_START = 7
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Every checkpoint key resume reads, with its JSON type.  Other keys (such
 #: as the scan strategy block older checkpoints carry) are ignored.
@@ -66,6 +78,8 @@ _CHECKPOINT_KEYS = {
     "socialist": list,
     "output_path": str,
     "output_offset": int,
+    "output_records": int,
+    "output_sha256": str,
     "elapsed": float,
 }
 
@@ -79,6 +93,13 @@ _COUNTER_FIELDS = (
     "neg_half_hits",
     "socialist",
 )
+
+
+def _sha256() -> hashlib._Hash:
+    # imported on first use: hashlib loads OpenSSL, about 4 ms added to every import of the package
+    import hashlib
+
+    return hashlib.sha256()
 
 
 class CheckpointError(RuntimeError):
@@ -264,6 +285,8 @@ class _RunState:
     prior_elapsed: float
     resumed: bool = False
     segments_done_this_run: int = 0
+    records_written: int = 0
+    digest: hashlib._Hash = field(default_factory=_sha256)
 
 
 def _checkpoint_payload(config: SearchConfig, state: _RunState, elapsed: float) -> dict:
@@ -279,6 +302,8 @@ def _checkpoint_payload(config: SearchConfig, state: _RunState, elapsed: float) 
         "socialist": list(state.socialist),
         "output_path": config.output_path,
         "output_offset": state.bytes_written,
+        "output_records": state.records_written,
+        "output_sha256": state.digest.hexdigest(),
         "elapsed": state.prior_elapsed + elapsed,
     }
 
@@ -321,6 +346,17 @@ def _load_checkpoint(path: str) -> dict:
     return payload
 
 
+def _read_prefix(fh, length: int) -> tuple[hashlib._Hash, int]:
+    """sha256 and line count of the first `length` bytes; leaves fh at `length`."""
+    digest, lines = _sha256(), 0
+    fh.seek(0)
+    while length > 0 and (data := fh.read(min(1 << 20, length))):
+        digest.update(data)
+        lines += data.count(b"\n")
+        length -= len(data)
+    return digest, lines
+
+
 def _commit(state: _RunState, out, counters: tuple[int, ...], records: list[dict], seg_hi: int) -> None:
     pieces = []
     for rec in records:
@@ -331,10 +367,31 @@ def _commit(state: _RunState, out, counters: tuple[int, ...], records: list[dict
     if pieces:
         data = ("\n".join(pieces) + "\n").encode("ascii")
         out.write(data)
+        state.digest.update(data)
         state.bytes_written += len(data)
+        state.records_written += len(pieces)
     state.counters.merge(counters)
     state.completed_through = seg_hi
     state.segments_done_this_run += 1
+
+
+def _in_order(pool: ProcessPoolExecutor, args: Iterator[tuple], width: int) -> Iterator[tuple]:
+    """_segment_task over args, yielded in order, with `width` segments computing at once.
+
+    A segment is submitted as soon as any other finishes; finished ones
+    wait in `ready` until every segment before them has been yielded.
+    """
+    index = count()
+    running = {pool.submit(_segment_task, a): next(index) for a in islice(args, width)}
+    ready: dict[int, Future] = {}
+    for head in count():
+        while head not in ready:
+            if not running:
+                return
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            ready.update((running.pop(f), f) for f in done)
+            running.update((pool.submit(_segment_task, a), next(index)) for a in islice(args, len(done)))
+        yield ready.pop(head).result()
 
 
 def _run(config: SearchConfig, state: _RunState, out, started: float) -> RangeReport:
@@ -364,8 +421,12 @@ def _run(config: SearchConfig, state: _RunState, out, started: float) -> RangeRe
                 if handle(_segment_task(a)):
                     break
         else:
+            if stop_after is not None:
+                # segments past the stop are computed and thrown away; keep them
+                # to what the other workers are already running when it comes
+                args = islice(args, stop_after + config.threads - 1)
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                for result in pool.map(_segment_task, args):
+                for result in _in_order(pool, args, config.threads):
                     if handle(result):
                         pool.shutdown(wait=False, cancel_futures=True)
                         break
@@ -415,9 +476,11 @@ def resume(checkpoint_path: str, output_path: str | None = None,
            threads: int | None = None, stop_after_segments: int | None = None) -> RangeReport:
     """Continue a checkpointed search to completion (or the next stop).
 
-    The results file is truncated back to the checkpointed byte offset
-    first, discarding any partially committed tail, so the final file is
-    byte-identical to an uninterrupted run's.
+    The results file must start with the bytes the checkpoint committed
+    (same record count and sha256), or CheckpointError is raised and the
+    file is left as it is.  It is then truncated back to the checkpointed
+    byte offset, discarding any partially committed tail, so the final
+    file is byte-identical to an uninterrupted run's.
     """
     payload = _load_checkpoint(checkpoint_path)
     started = time.monotonic()
@@ -449,8 +512,14 @@ def resume(checkpoint_path: str, output_path: str | None = None,
         if os.fstat(out.fileno()).st_size < offset:
             out.close()
             raise CheckpointError(f"results file {out_path} is shorter than the checkpoint's offset")
-        out.truncate(offset)
-        out.seek(offset)
+    digest, records = _read_prefix(out, offset)
+    if records != payload["output_records"] or digest.hexdigest() != payload["output_sha256"]:
+        out.close()
+        raise CheckpointError(
+            f"results file {out_path} does not start with the {payload['output_records']} records "
+            f"the checkpoint committed (found {records} lines, sha256 {digest.hexdigest()})"
+        )
+    out.truncate(offset)
 
     state = _RunState(
         lo=payload["lo"],
@@ -461,5 +530,7 @@ def resume(checkpoint_path: str, output_path: str | None = None,
         bytes_written=offset,
         prior_elapsed=payload["elapsed"],
         resumed=True,
+        records_written=payload["output_records"],
+        digest=digest,
     )
     return _run(config, state, out, started)

@@ -120,13 +120,13 @@ def test_checkpoint_resume_at_scale(tmp_path):
         stopped = search(SearchConfig(
             range=PrimeRange(7, 10**7),
             output_path=part_out,
-            threads=1,
+            threads=2,
             checkpoint_path=ckpt,
             checkpoint_interval=13,
             stop_after_segments=60,
         ))
         assert not stopped.complete
-        resumed = resume(ckpt)
+        resumed = resume(ckpt, threads=2)
         assert resumed.complete and resumed.resumed
         assert resumed.counters == full.counters
         assert open(part_out, "rb").read() == open(full_out, "rb").read()

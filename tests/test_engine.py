@@ -1,15 +1,20 @@
 import copy
+import hashlib
 import io
 import json
 import logging
+import multiprocessing
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socprimes import engine
 from socprimes.cli import main
 from socprimes.engine import (
+    CHECKPOINT_VERSION,
     DOMAIN_START,
     CheckpointError,
     Counters,
@@ -19,7 +24,7 @@ from socprimes.engine import (
     resume,
     search,
 )
-from socprimes.primes import PrimeRange
+from socprimes.primes import PrimeRange, small_primes
 from socprimes.verifier import ScanStrategy, factorial_mod, recheck_witness
 
 NOT_OBJECTS = ([], [7, 3000], "checkpoint", 7, 7.5, None, True)
@@ -221,12 +226,95 @@ class TestCheckpointResume:
         ckpt = str(tmp_path / "c.json")
         report = run_search(tmp_path, 7, 1000, checkpoint_path=ckpt)
         payload = json.loads(open(ckpt, encoding="ascii").read())
-        assert payload["version"] == 1
+        results = open(report.output_path, "rb").read()
+        assert payload["version"] == CHECKPOINT_VERSION == 2
         assert (payload["lo"], payload["hi"]) == (7, 1000)
         assert payload["completed_through"] == 1000
         assert payload["counters"] == report.counters.as_dict()
         assert payload["socialist"] == []
-        assert payload["output_offset"] == len(open(report.output_path, "rb").read())
+        assert payload["output_offset"] == len(results)
+        assert payload["output_records"] == results.count(b"\n") == 10
+        assert payload["output_sha256"] == hashlib.sha256(results).hexdigest()
+
+
+class CountingPool(engine.ProcessPoolExecutor):
+    """The engine's process pool, counting every segment handed to it."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        CountingPool.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+class TestProcessPool:
+    def test_stopped_leg_submits_only_its_window(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(CountingPool, "submitted", 0)
+        threads, stop, seg = 2, 3, 512
+        rng = PrimeRange(7, 7 + 20 * seg, seg)
+        full = run_search(tmp_path, rng.lo, rng.hi, name="full.jsonl", segment_size=seg)
+        assert CountingPool.submitted == 0  # threads=1 never builds a pool
+
+        ckpt = str(tmp_path / "part.ckpt")
+        stopped = search(SearchConfig(range=rng, output_path=str(tmp_path / "part.jsonl"), threads=threads,
+                                      checkpoint_path=ckpt, checkpoint_interval=1, stop_after_segments=stop))
+        assert stopped.completed_through == 7 + stop * seg
+        assert CountingPool.submitted <= stop + threads - 1
+
+        CountingPool.submitted = 0
+        resumed = resume(ckpt, threads=threads)
+        assert CountingPool.submitted == 20 - stop
+        assert resumed.complete and resumed.counters == full.counters
+        assert open(resumed.output_path, "rb").read() == open(full.output_path, "rb").read()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched _classify reaches the workers only through fork")
+    def test_worker_error_reaches_caller(self, tmp_path, monkeypatch):
+        seg = 512
+        rng = PrimeRange(7, 7 + 8 * seg, seg)
+        full = run_search(tmp_path, rng.lo, rng.hi, name="full.jsonl", segment_size=seg)
+        good_through = 7 + 3 * seg
+        bad = next(p for p in small_primes(good_through + seg) if p >= good_through)
+        real_classify = engine._classify
+
+        def classify(p, strict):
+            if p == bad:
+                raise ArithmeticError(f"injected failure at p={p}")
+            return real_classify(p, strict)
+
+        monkeypatch.setattr(engine, "_classify", classify)
+        ckpt = str(tmp_path / "part.ckpt")
+        part_out = str(tmp_path / "part.jsonl")
+        config = SearchConfig(range=rng, output_path=part_out, threads=2,
+                              checkpoint_path=ckpt, checkpoint_interval=1)
+        raised = []
+
+        def run():
+            try:
+                search(config)
+            except Exception as exc:  # handed to the test's thread, which asserts on it
+                raised.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        children_before = set(multiprocessing.active_children())
+        runner.start()
+        runner.join(120)
+        assert not runner.is_alive(), "search hung after a worker error"
+        assert len(raised) == 1 and type(raised[0]) is ArithmeticError
+        assert str(raised[0]) == f"injected failure at p={bad}"
+        assert not set(multiprocessing.active_children()) - children_before
+
+        payload = json.loads(open(ckpt).read())
+        committed = [r for r in read_records(full.output_path) if r["p"] < good_through]
+        assert payload["completed_through"] == good_through
+        assert read_records(part_out) == committed
+        assert payload["output_offset"] == os.path.getsize(part_out)
+
+        monkeypatch.undo()
+        resumed = resume(ckpt, threads=2)
+        assert resumed.complete and resumed.counters == full.counters
+        assert open(part_out, "rb").read() == open(full.output_path, "rb").read()
 
 
 def make_checkpoint(tmp_path):
@@ -249,11 +337,20 @@ def stopped_checkpoint(tmp_path_factory):
 
 @st.composite
 def damaged(draw, payload):
-    """payload with one key dropped or retyped, or a non-object document."""
-    how = draw(st.sampled_from(("drop", "retype", "replace")))
+    """payload with one key dropped or retyped, a committed-output key
+    given another value of its type, or a non-object document."""
+    how = draw(st.sampled_from(("drop", "retype", "tamper", "replace")))
     if how == "replace":
         return draw(st.sampled_from(NOT_OBJECTS))
     doc = copy.deepcopy(payload)
+    if how == "tamper":
+        key = draw(st.sampled_from(("output_offset", "output_records", "output_sha256")))
+        if key == "output_sha256":
+            i = draw(st.integers(0, len(doc[key]) - 1))
+            doc[key] = doc[key][:i] + ("0" if doc[key][i] != "0" else "1") + doc[key][i + 1:]
+        else:
+            doc[key] += draw(st.integers(-doc[key] - 1, 20_000).filter(bool))
+        return doc
     paths = [(doc, key) for key in doc] + [(doc["counters"], key) for key in doc["counters"]]
     parent, key = draw(st.sampled_from(paths))
     if how == "drop":
@@ -278,6 +375,33 @@ class TestCheckpointValidation:
             resume(ckpt)
         assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
         assert open(payload["output_path"], "rb").read() == results
+
+    @pytest.mark.parametrize("damage", ["foreign", "edited"])
+    def test_resume_into_another_file_is_refused(self, tmp_path, damage):
+        ckpt, payload = make_checkpoint(tmp_path)
+        assert payload["output_offset"] > 0
+        other = tmp_path / "other.jsonl"
+        if damage == "foreign":
+            record = b'{"p":7,"outcome":"Collision","witness":{"j":1,"k":2,"residue":1}}\n'
+            other.write_bytes((record * (15_000 // len(record) + 1))[:15_000])
+        else:
+            data = bytearray(open(payload["output_path"], "rb").read())
+            data[payload["output_offset"] // 2] ^= 0x01
+            other.write_bytes(bytes(data))
+        before = other.read_bytes()
+        with pytest.raises(CheckpointError, match="does not start with"):
+            resume(ckpt, output_path=str(other))
+        assert main(["search", "--checkpoint", ckpt, "--out", str(other), "--threads", "1"]) == 1
+        assert other.read_bytes() == before
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        # version 1 carried no record count or digest for its results file
+        ckpt, payload = make_checkpoint(tmp_path)
+        payload["version"] = 1
+        del payload["output_records"], payload["output_sha256"]
+        self.rewrite(ckpt, payload)
+        with pytest.raises(CheckpointError):
+            resume(ckpt)
 
     def test_negative_offset(self, tmp_path):
         ckpt, payload = make_checkpoint(tmp_path)
