@@ -20,10 +20,12 @@ A checkpoint is a small JSON document naming the range, the committed
 high-water mark, the counters, and the byte length, record count and
 sha256 of the results file at commit time.  Writes are atomic (tmp file +
 os.replace).  Resume checks the results file's committed prefix against
-that count and digest, then truncates the file back to the recorded
-offset, so a run killed at any instant restarts cleanly and reproduces
-the exact bytes an uninterrupted run would have produced, and a resume
-pointed at the wrong results file fails instead of adopting it.
+that count and digest and the bytes past the offset against the records
+the run could have written there, then truncates the file back to the
+recorded offset.  So a run killed at any instant restarts cleanly and
+reproduces the exact bytes an uninterrupted run would have produced, and
+a resume pointed at the wrong results file fails instead of adopting it,
+even when the checkpoint committed no record yet.
 """
 
 from __future__ import annotations
@@ -357,6 +359,27 @@ def _read_prefix(fh, length: int) -> tuple[hashlib._Hash, int]:
     return digest, lines
 
 
+def _tail_is_ours(fh, lo: int, hi: int) -> bool:
+    """Whether the bytes from fh's position on can be a run's uncommitted records.
+
+    Each complete line must be a record of a prime in [lo, hi), the primes
+    increasing; a last line without its newline is a torn write and must
+    begin like a record.
+    """
+    last = lo - 1
+    for line in fh:
+        if not line.endswith(b"\n"):
+            return b'{"p":'.startswith(line[:5])
+        try:
+            p = json.loads(line)["p"]
+        except (ValueError, TypeError, KeyError, RecursionError):
+            return False
+        if type(p) is not int or not last < p < hi:
+            return False
+        last = p
+    return True
+
+
 def _commit(state: _RunState, out, counters: tuple[int, ...], records: list[dict], seg_hi: int) -> None:
     pieces = []
     for rec in records:
@@ -477,10 +500,13 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     """Continue a checkpointed search to completion (or the next stop).
 
     The results file must start with the bytes the checkpoint committed
-    (same record count and sha256), or CheckpointError is raised and the
-    file is left as it is.  It is then truncated back to the checkpointed
-    byte offset, discarding any partially committed tail, so the final
-    file is byte-identical to an uninterrupted run's.
+    (same record count and sha256), and anything past them must look like
+    this run's uncommitted records: complete lines of primes in
+    [completed_through, hi), increasing, then at most one torn line.
+    Otherwise CheckpointError is raised and the file is left as it is.
+    It is then truncated back to the checkpointed byte offset, discarding
+    the uncommitted tail, so the final file is byte-identical to an
+    uninterrupted run's.
     """
     payload = _load_checkpoint(checkpoint_path)
     started = time.monotonic()
@@ -519,7 +545,14 @@ def resume(checkpoint_path: str, output_path: str | None = None,
             f"results file {out_path} does not start with the {payload['output_records']} records "
             f"the checkpoint committed (found {records} lines, sha256 {digest.hexdigest()})"
         )
-    out.truncate(offset)
+    if not _tail_is_ours(out, payload["completed_through"], payload["hi"]):
+        out.close()
+        raise CheckpointError(
+            f"results file {out_path} holds bytes past the checkpoint's offset that are not "
+            f"this run's records of primes in [{payload['completed_through']}, {payload['hi']})"
+        )
+    out.seek(offset)
+    out.truncate()
 
     state = _RunState(
         lo=payload["lo"],

@@ -17,6 +17,11 @@ event.  Birthday keeps a dict of seen residues, bounded by a cap, and
 escalates to the bitset scan in the astronomically unlikely case the cap
 is reached without an event.  NaiveBitset allocates a p-bit table, so it
 is never wrong and never escalates, at the price of O(p) memory.
+
+recheck_witness confirms a Collision for prime p without the scan: j! ==
+k! exactly when the gap product (j+1)(j+2)...k is 1 mod p, since j! is a
+unit.  It multiplies the k - j factors of the gap, two per reduction,
+and shares no state with the scan.
 """
 
 from __future__ import annotations
@@ -99,15 +104,27 @@ def factorial_mod(n: int, p: int) -> int:
 
 
 def recheck_witness(p: int, j: int, k: int) -> bool:
-    """Recompute j! and k! mod p independently and compare.
+    """Check a collision witness j! == k! mod p by its gap: (j+1)(j+2)...k == 1.
 
-    Deliberately does not share the product prefix between the two
-    factorials: the point is an arithmetic path distinct from the scan
-    that produced the witness.
+    For prime p the two statements are the same, because j < p makes j!
+    a unit and it cancels.  For composite p they are not (j! may share a
+    factor with p), so p must be prime.  The product is formed two
+    factors per reduction, with one more factor k when k - j is odd.
+
+    The check stays independent of the scan that produced the witness:
+    it never reads the scan's running product or its table of seen
+    residues, and it groups the factors in pairs from j+1 on, so its
+    intermediate values are partial products of the gap, never factorials.
     """
     if not 2 <= j < k <= p - 1:
         raise ValueError("witness indices must satisfy 2 <= j < k <= p-1")
-    return factorial_mod(j, p) == factorial_mod(k, p)
+    f = 1
+    paired_end = k - (k - j) % 2
+    for i in range(j + 1, paired_end, 2):
+        f = f * (i * (i + 1)) % p
+    if paired_end < k:
+        f = f * k % p
+    return f == 1
 
 
 def verify_distinct(p: int, strategy: ScanStrategy | None = None, *, neg_half_check: bool = True) -> Verdict:

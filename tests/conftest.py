@@ -1,9 +1,9 @@
 """Shared oracles for the test suite.
 
 Everything here is deliberately naive: trial division, Euler's criterion,
-full-range root scans, a dict-only factorial walk.  The point is an
-arithmetic path independent of the package's production code, so the two
-can disagree loudly when one is wrong.
+full-range root scans, a dict-only factorial walk, factorials built from 1.
+The point is an arithmetic path independent of the package's production
+code, so the two can disagree loudly when one is wrong.
 
 The exception is the theorem checks at the end (factor parity and the
 sextic substitution): they check the laws the filter stages stand on,
@@ -71,6 +71,20 @@ def reference_scan(p: int) -> tuple:
                 return ("NegHalfHit", k, f)
         seen[f] = k
     return ("Socialist",)
+
+
+def factorials_agree(p: int, j: int, k: int) -> bool:
+    """j! == k! (mod p), each factorial built from 1 by its own chain.
+
+    This is what a Collision witness claims; recheck_witness, which
+    multiplies only the gap (j+1)...k, must agree with it for prime p.
+    """
+    fj = fk = 1
+    for i in range(2, j + 1):
+        fj = fj * i % p
+    for i in range(2, k + 1):
+        fk = fk * i % p
+    return fj == fk
 
 
 def verdict_tuple(v) -> tuple:

@@ -5,6 +5,7 @@ import json
 import logging
 import multiprocessing
 import os
+import shutil
 import threading
 
 import pytest
@@ -192,6 +193,27 @@ class TestCheckpointResume:
         assert resumed.counters == full.counters
         assert (open(resumed.output_path, "rb").read()
                 == open(full.output_path, "rb").read())
+
+    def test_resume_drops_uncommitted_records_and_torn_line(self, tmp_path):
+        # the run's own file after a crash: records of segments the checkpoint
+        # never covered, then half of the next record
+        full = run_search(tmp_path, 7, 9000, name="full.jsonl", segment_size=512)
+        expected = open(full.output_path, "rb").read()
+        ckpt, part_out = str(tmp_path / "part.ckpt"), str(tmp_path / "part.jsonl")
+        search(SearchConfig(range=PrimeRange(7, 9000, 512), output_path=part_out, checkpoint_path=ckpt,
+                            checkpoint_interval=1, stop_after_segments=3))
+        shutil.copy(ckpt, ckpt + ".old")
+        resume(ckpt, stop_after_segments=4)
+        shutil.copy(ckpt + ".old", ckpt)
+        offset = json.loads(open(ckpt).read())["output_offset"]
+        written = len(open(part_out, "rb").read())
+        assert expected[offset:written].count(b"\n") >= 2
+        next_line = expected[written:expected.index(b"\n", written) + 1]
+        with open(part_out, "ab") as fh:
+            fh.write(next_line[: len(next_line) // 2])
+        resumed = resume(ckpt)
+        assert resumed.counters == full.counters
+        assert open(part_out, "rb").read() == expected
 
     def test_resume_of_complete_run_is_noop(self, tmp_path):
         ckpt = str(tmp_path / "c.json")
@@ -390,6 +412,26 @@ class TestCheckpointValidation:
             other.write_bytes(bytes(data))
         before = other.read_bytes()
         with pytest.raises(CheckpointError, match="does not start with"):
+            resume(ckpt, output_path=str(other))
+        assert main(["search", "--checkpoint", ckpt, "--out", str(other), "--threads", "1"]) == 1
+        assert other.read_bytes() == before
+
+    @pytest.mark.parametrize("foreign", [
+        b'{"p":7,"outcome":"Collision","witness":{"j":1,"k":2,"residue":1}}\n',
+        b"an unrelated text file\n",
+        bytes(range(1, 10)),
+    ], ids=["records", "text", "no-newline"])
+    def test_offset_0_resume_into_another_file_is_refused(self, tmp_path, foreign):
+        # no record committed yet: the empty prefix matches any file, so the
+        # bytes past it must be what this run can have written
+        ckpt = str(tmp_path / "c.json")
+        search(SearchConfig(range=PrimeRange(7, 20000, 6), output_path=str(tmp_path / "o.jsonl"),
+                            checkpoint_path=ckpt, stop_after_segments=1))
+        assert json.loads(open(ckpt).read())["output_offset"] == 0
+        other = tmp_path / "other.jsonl"
+        other.write_bytes((foreign * (15_000 // len(foreign) + 1))[:15_000])
+        before = other.read_bytes()
+        with pytest.raises(CheckpointError, match="past the checkpoint's offset"):
             resume(ckpt, output_path=str(other))
         assert main(["search", "--checkpoint", ckpt, "--out", str(other), "--threads", "1"]) == 1
         assert other.read_bytes() == before

@@ -1,8 +1,11 @@
+from math import isqrt
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_primes, reference_scan, verdict_tuple
+from conftest import factorials_agree, naive_primes, reference_scan, verdict_tuple
+from socprimes.primes import primes_in_segment, small_primes
 from socprimes.verifier import (
     ScanMode,
     ScanStrategy,
@@ -152,6 +155,46 @@ class TestWitnesses:
             v = verify_distinct(p)
             if v.kind is VerdictKind.COLLISION:
                 assert recheck_witness(p, v.j, v.k) and factorial_mod(v.k, p) == v.residue, p
+
+
+def first_collision_from(start):
+    """(p, j, k) for the first prime p >= start whose scan ends in a Collision."""
+    for p in primes_in_segment(start, start + 10_000, small_primes(isqrt(start + 10_000))):
+        v = verify_distinct(p)
+        if v.kind is VerdictKind.COLLISION:
+            return p, v.j, v.k
+    raise AssertionError(f"no collision among the primes in [{start}, {start + 10_000})")
+
+
+class TestRecheckAgainstFactorials:
+    # recheck_witness multiplies the gap (j+1)...k; the oracle compares j! with k!
+
+    def test_every_pair_below_100(self):
+        kinds = set()
+        for p in ODD_PRIMES:
+            if not 7 <= p < 100:
+                continue
+            for k in range(3, p):
+                for j in range(2, k):
+                    expected = factorials_agree(p, j, k)
+                    assert recheck_witness(p, j, k) is expected, (p, j, k)
+                    kinds.add((expected, (k - j) % 2))
+        # true and false witnesses, with even and odd gaps
+        assert kinds == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+    @settings(max_examples=60)
+    @given(
+        base=st.sampled_from((10**6, 10**8)),
+        offset=st.integers(0, 10**5),
+        shift=st.sampled_from(((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))),
+    )
+    def test_shifted_scan_witnesses_near_1e6_and_1e8(self, base, offset, shift):
+        p, j, k = first_collision_from(base + offset)
+        j, k = j + shift[0], k + shift[1]
+        assume(2 <= j < k <= p - 1)
+        expected = factorials_agree(p, j, k)
+        assert expected is (shift == (0, 0))
+        assert recheck_witness(p, j, k) is expected, (p, j, k)
 
 
 class TestMidpointIdentities:
