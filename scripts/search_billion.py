@@ -5,7 +5,9 @@ The whole run takes a few CPU-hours single-threaded.  It can be killed
 at any point and simply rerun with the same arguments: the checkpoint
 carries the committed high-water mark, the counters and the results
 offset, and the finished results file is byte-identical to what one
-uninterrupted run would have written.
+uninterrupted run would have written.  A checkpoint of another range
+than [7, --to), or one its results file does not match, is refused with
+exit 1.
 
     python3 scripts/search_billion.py --threads 4
     python3 scripts/search_billion.py --threads 4   # picks up where it left off
@@ -16,7 +18,8 @@ import os
 import sys
 import time
 
-from socprimes import PrimeRange, SearchConfig, resume, search
+from socprimes import CheckpointError, PrimeRange, SearchConfig, resume, search
+from socprimes.engine import check_resume
 
 
 def progress_line(report) -> str:
@@ -47,6 +50,7 @@ def main() -> int:
     args = ap.parse_args()
 
     if os.path.exists(args.checkpoint):
+        check_resume(args.checkpoint, 7, args.to)
         print(f"resuming from {args.checkpoint}")
         report = resume(args.checkpoint, threads=args.threads,
                         stop_after_segments=args.segments_per_leg)
@@ -77,4 +81,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except CheckpointError as exc:
+        sys.exit(f"error: {exc}")

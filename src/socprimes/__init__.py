@@ -33,7 +33,6 @@ from .engine import (
 )
 from .filters import (
     SIX_TERM_CUBIC,
-    THREE_TERM_CUBIC,
     FilterCounts,
     FilterOutcome,
     FilterVerdict,
@@ -48,7 +47,6 @@ from .polycong import CubicRootSet, MonicCubic, cubic_discriminant, cubic_roots
 from .primes import PrimeRange, enumerate_primes, small_primes
 from .verifier import (
     ScanMode,
-    ScanStrategy,
     Verdict,
     VerdictKind,
     default_cap,
@@ -73,10 +71,8 @@ __all__ = [
     "PrimeRange",
     "RangeReport",
     "ScanMode",
-    "ScanStrategy",
     "SearchConfig",
     "SIX_TERM_CUBIC",
-    "THREE_TERM_CUBIC",
     "Verdict",
     "VerdictKind",
     "count_filters",

@@ -20,12 +20,25 @@ from .analytics import (
     heuristic,
     scientific_from_log,
 )
-from .engine import CheckpointError, RangeReport, SearchConfig, resume, search
-from .filters import count_filters
+from .engine import CheckpointError, RangeReport, SearchConfig, check_resume, resume, search
+from .filters import FilterVerdict, count_filters
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange
-from .verifier import ScanMode, ScanStrategy, VerdictKind, verify_distinct
+from .verifier import ScanMode, VerdictKind, verify_distinct
 
 __all__ = ["main"]
+
+#: Report label of each counter, keyed by its name in Counters and FilterCounts.
+_LABELS = {
+    "examined": "examined",
+    "rejected_mod8": "rejected mod 8",
+    "rejected_legendre5": "rejected (5/p)",
+    "rejected_legendre23": "rejected (-23/p)",
+    "rejected_cubic": "rejected cubic",
+    "candidates": "candidates",
+    "collisions": "collisions",
+    "neg_half_hits": "neg-half hits",
+    "socialist": "socialist",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,19 +78,8 @@ def _print_report(report: RangeReport) -> None:
     status = "complete" if report.complete else f"paused at {report.completed_through}"
     suffix = " (resumed)" if report.resumed else ""
     print(f"search [{report.lo}, {report.hi}) {status} in {report.wall_seconds:.1f}s{suffix}")
-    c = report.counters
-    rows = [
-        ("examined", c.examined),
-        ("rejected mod 8", c.rejected_mod8),
-        ("rejected (5/p)", c.rejected_legendre5),
-        ("rejected (-23/p)", c.rejected_legendre23),
-        ("rejected cubic", c.rejected_cubic),
-        ("collisions", c.collisions),
-        ("neg-half hits", c.neg_half_hits),
-        ("socialist", c.socialist),
-    ]
-    for label, value in rows:
-        print(f"  {label:<18}{value}")
+    for name, value in report.counters.as_dict().items():
+        print(f"  {_LABELS[name]:<18}{value}")
     print(f"  {'results file':<18}{report.output_path}")
     for p in report.socialist_primes:
         print(f"!!! SOCIALIST PRIME FOUND: {p} (re-proved by an independent full scan)")
@@ -86,6 +88,7 @@ def _print_report(report: RangeReport) -> None:
 def _cmd_search(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     if args.checkpoint and os.path.exists(args.checkpoint):
+        check_resume(args.checkpoint, args.lo, args.hi, args.strict_cubic)
         report = resume(
             args.checkpoint,
             output_path=args.out,
@@ -113,8 +116,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    strategy = ScanStrategy(mode=ScanMode(args.strategy), cap=args.cap, escalate=not args.no_escalate)
-    verdict = verify_distinct(args.p, strategy, neg_half_check=not args.no_neg_half)
+    verdict = verify_distinct(args.p, ScanMode(args.strategy), neg_half_check=not args.no_neg_half)
     if args.json:
         print(json.dumps({**asdict(verdict), "kind": verdict.kind.value}))
     else:
@@ -123,15 +125,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"p={p}: Collision {verdict.j}! == {verdict.k}! == {verdict.residue} (mod {p})")
         elif verdict.kind is VerdictKind.NEG_HALF_HIT:
             print(f"p={p}: NegHalfHit {verdict.k}! == -(({p}-1)/2)! == {verdict.residue} (mod {p})")
-        elif verdict.kind is VerdictKind.SOCIALIST:
-            print(f"p={p}: SOCIALIST, 2! .. {p - 1}! are pairwise distinct mod {p}")
         else:
-            print(f"p={p}: Inconclusive, no duplicate within the first {verdict.scanned_up_to} factorials")
-    if verdict.kind is VerdictKind.SOCIALIST:
-        return 2
-    if verdict.kind is VerdictKind.INCONCLUSIVE:
-        return 1
-    return 0
+            print(f"p={p}: SOCIALIST, 2! .. {p - 1}! are pairwise distinct mod {p}")
+    return 2 if verdict.kind is VerdictKind.SOCIALIST else 0
 
 
 def _cmd_filter_counts(args: argparse.Namespace) -> int:
@@ -139,18 +135,11 @@ def _cmd_filter_counts(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(asdict(counts)))
         return 0
-    rows = [
-        ("primes examined", counts.examined),
-        ("rejected mod 8", counts.rejected_mod8),
-        ("rejected (5/p)", counts.rejected_legendre5),
-        ("rejected (-23/p)", counts.rejected_legendre23),
-        ("rejected cubic", counts.rejected_cubic),
-        ("candidates", counts.candidates),
-        ("stage-1 survivors", len(counts.stage1_survivors)),
-        ("stage-2 survivors", len(counts.stage2_survivors)),
-    ]
-    for label, value in rows:
-        print(f"{label:<20}{value}")
+    print(f"{'primes examined':<20}{counts.examined}")
+    for name in (v.value for v in FilterVerdict):
+        print(f"{_LABELS[name]:<20}{getattr(counts, name)}")
+    print(f"{'stage-1 survivors':<20}{len(counts.stage1_survivors)}")
+    print(f"{'stage-2 survivors':<20}{len(counts.stage2_survivors)}")
     if 0 < len(counts.stage1_survivors) <= args.list_limit:
         print("stage-1 survivors:", " ".join(str(p) for p in counts.stage1_survivors))
     return 0
@@ -251,9 +240,6 @@ def _build_parser() -> _Parser:
     vp.add_argument("p", type=int, help="odd number >= 5 to scan")
     vp.add_argument("--strategy", choices=[m.value for m in ScanMode], default=ScanMode.BIRTHDAY.value,
                     help="scan strategy (default birthday)")
-    vp.add_argument("--cap", type=int, metavar="N", help="birthday window size (default 64*ceil(sqrt(p)))")
-    vp.add_argument("--no-escalate", action="store_true",
-                    help="let an exhausted birthday window return Inconclusive")
     vp.add_argument("--no-neg-half", action="store_true",
                     help="skip the k! == -((p-1)/2)! early exit")
     vp.add_argument("--json", action="store_true", help="emit the verdict as JSON")

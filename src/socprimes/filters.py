@@ -31,7 +31,6 @@ from .polycong import MonicCubic, cubic_roots
 from .primes import PrimeRange, enumerate_primes
 
 __all__ = [
-    "THREE_TERM_CUBIC",
     "SIX_TERM_CUBIC",
     "FilterVerdict",
     "FilterOutcome",
@@ -43,21 +42,19 @@ __all__ = [
     "count_filters",
 ]
 
-#: x(x+1)(x+2) - 1 in monic form; a root x would give (x+2)! == (x-1)!.
-#: Its discriminant is -23, the constant behind stage 1's second symbol.
-THREE_TERM_CUBIC = MonicCubic(b=3, c=2, d=-1)
-
 #: y(y+4)(y+6) - 1 where y = x(x+5) compresses x(x+1)...(x+5) - 1.
 #: Its discriminant is 1957, the constant behind stage 2's shortcut.
 SIX_TERM_CUBIC = MonicCubic(b=10, c=24, d=-1)
 
 
 class FilterVerdict(Enum):
-    REJECTED_MOD8 = "RejectedMod8"
-    REJECTED_LEGENDRE5 = "RejectedLegendre5"
-    REJECTED_LEGENDRE23 = "RejectedLegendre23"
-    REJECTED_CUBIC = "RejectedCubic"
-    CANDIDATE = "Candidate"
+    """Pipeline outcome; each value is the name of the counter it is tallied in."""
+
+    REJECTED_MOD8 = "rejected_mod8"
+    REJECTED_LEGENDRE5 = "rejected_legendre5"
+    REJECTED_LEGENDRE23 = "rejected_legendre23"
+    REJECTED_CUBIC = "rejected_cubic"
+    CANDIDATE = "candidates"
 
 
 @dataclass(frozen=True)
@@ -156,14 +153,9 @@ class FilterCounts:
     stage2_survivors: list[int] = field(default_factory=list)
 
     def consistent(self) -> bool:
-        rejected = (
-            self.rejected_mod8
-            + self.rejected_legendre5
-            + self.rejected_legendre23
-            + self.rejected_cubic
-        )
+        tallied = sum(getattr(self, v.value) for v in FilterVerdict)
         return (
-            self.examined == rejected + self.candidates
+            self.examined == tallied
             and len(self.stage1_survivors) == self.rejected_cubic + self.candidates
             and len(self.stage2_survivors) == self.candidates
         )
@@ -178,20 +170,11 @@ def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
     counts = FilterCounts(lo=lo, hi=hi)
     start = max(lo, 7)
     for p in enumerate_primes(PrimeRange(start, max(hi, start))):
-        out = run_pipeline(p, strict)
+        v = run_pipeline(p, strict).verdict
         counts.examined += 1
-        v = out.verdict
-        if v is FilterVerdict.REJECTED_MOD8:
-            counts.rejected_mod8 += 1
-        elif v is FilterVerdict.REJECTED_LEGENDRE5:
-            counts.rejected_legendre5 += 1
-        elif v is FilterVerdict.REJECTED_LEGENDRE23:
-            counts.rejected_legendre23 += 1
-        elif v is FilterVerdict.REJECTED_CUBIC:
-            counts.rejected_cubic += 1
+        setattr(counts, v.value, getattr(counts, v.value) + 1)
+        if v is FilterVerdict.REJECTED_CUBIC or v is FilterVerdict.CANDIDATE:
             counts.stage1_survivors.append(p)
-        else:
-            counts.candidates += 1
-            counts.stage1_survivors.append(p)
+        if v is FilterVerdict.CANDIDATE:
             counts.stage2_survivors.append(p)
     return counts

@@ -12,11 +12,12 @@ reports the first event it proves:
   check would misfire on ordinary values, so it is skipped.
 * Socialist: the scan exhausted k = p-1 with every value fresh.
 
-Two scan strategies share these semantics and must agree event for
-event.  Birthday keeps a dict of seen residues, bounded by a cap, and
-escalates to the bitset scan in the astronomically unlikely case the cap
-is reached without an event.  NaiveBitset allocates a p-bit table, so it
-is never wrong and never escalates, at the price of O(p) memory.
+Two scan modes share these semantics and must agree event for event.
+Birthday keeps a dict of the residues seen in a window of default_cap(p)
+factorials and escalates to the bitset scan in the astronomically
+unlikely case the window ends without an event.  NaiveBitset allocates a
+p-bit table, so it is never wrong and never escalates, at the price of
+O(p) memory.
 
 recheck_witness confirms a Collision for prime p without the scan: j! ==
 k! exactly when the gap product (j+1)(j+2)...k is 1 mod p, since j! is a
@@ -34,7 +35,6 @@ __all__ = [
     "VerdictKind",
     "Verdict",
     "ScanMode",
-    "ScanStrategy",
     "default_cap",
     "factorial_mod",
     "verify_distinct",
@@ -46,26 +46,11 @@ class VerdictKind(Enum):
     SOCIALIST = "Socialist"
     COLLISION = "Collision"
     NEG_HALF_HIT = "NegHalfHit"
-    INCONCLUSIVE = "Inconclusive"
 
 
 class ScanMode(Enum):
     BIRTHDAY = "birthday"
     NAIVE_BITSET = "bitset"
-
-
-@dataclass(frozen=True)
-class ScanStrategy:
-    """How verify_distinct hunts for the first duplicate.
-
-    cap bounds the birthday dict (None means 64 * ceil(sqrt(p))).
-    escalate controls whether an exhausted birthday window restarts as a
-    bitset scan or returns an Inconclusive verdict.
-    """
-
-    mode: ScanMode = ScanMode.BIRTHDAY
-    cap: int | None = None
-    escalate: bool = True
 
 
 @dataclass(frozen=True)
@@ -127,34 +112,24 @@ def recheck_witness(p: int, j: int, k: int) -> bool:
     return f == 1
 
 
-def verify_distinct(p: int, strategy: ScanStrategy | None = None, *, neg_half_check: bool = True) -> Verdict:
+def verify_distinct(p: int, mode: ScanMode = ScanMode.BIRTHDAY, *, neg_half_check: bool = True) -> Verdict:
     """Scan 2! .. (p-1)! mod p and report the first proven event.
 
     p must be an odd number >= 5 (primality is the caller's business;
     the scan itself only needs oddness for the midpoint bookkeeping).
-    The verdict is deterministic and strategy-independent: Birthday and
-    NaiveBitset return identical verdicts, Birthday possibly after a
-    silent escalation.  Raises MemoryError if a bitset scan cannot
-    allocate its p-bit table.
+    The verdict is deterministic and the same in either mode: Birthday
+    scans a window of default_cap(p) factorials and, should that window
+    end without an event, silently escalates to the NaiveBitset scan.
+    Raises MemoryError if a bitset scan cannot allocate its p-bit table.
     """
     if p < 5 or p & 1 == 0:
         raise ValueError("scan needs an odd p >= 5")
-    if strategy is None:
-        strategy = ScanStrategy()
     check_neg = neg_half_check and p & 3 == 1
-
-    if strategy.mode is ScanMode.NAIVE_BITSET:
-        return _scan_bitset(p, check_neg)
-
-    cap = strategy.cap if strategy.cap is not None else default_cap(p)
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    verdict = _scan_birthday(p, cap, check_neg)
-    if verdict is not None:
-        return verdict
-    if strategy.escalate:
-        return _scan_bitset(p, check_neg)
-    return Verdict(p, VerdictKind.INCONCLUSIVE, scanned_up_to=min(p - 1, cap + 1))
+    if mode is ScanMode.BIRTHDAY:
+        verdict = _scan_birthday(p, default_cap(p), check_neg)
+        if verdict is not None:
+            return verdict
+    return _scan_bitset(p, check_neg)
 
 
 def _scan_birthday(p: int, cap: int, check_neg: bool) -> Verdict | None:
@@ -205,7 +180,7 @@ def _first_index_of(p: int, residue: int, below: int) -> int:
 
 
 def _scan_bitset(p: int, check_neg: bool) -> Verdict:
-    """Full scan against a p-bit membership table. Never inconclusive."""
+    """Full scan against a p-bit membership table; always reaches an event."""
     table = bytearray((p >> 3) + 1)
     half = (p - 1) >> 1
     f = 1

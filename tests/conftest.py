@@ -26,6 +26,11 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+#: x(x+1)(x+2) - 1 in monic form; a root x would give (x+2)! == (x-1)!.
+#: Its discriminant is -23, the constant behind filter stage 1's second
+#: symbol.  The pipeline never solves it, so only the tests hold it.
+THREE_TERM_CUBIC = MonicCubic(b=3, c=2, d=-1)
+
 
 def naive_primes(limit: int) -> list[int]:
     """Trial-division primes below limit."""

@@ -14,14 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_cubic_roots, factor_parity, naive_primes, sextic_substitution_check
+from conftest import THREE_TERM_CUBIC, brute_cubic_roots, factor_parity, naive_primes, sextic_substitution_check
 from socprimes.analytics import fp_histogram, fp_statistic, heuristic
 from socprimes.engine import Counters, SearchConfig, resume, search
-from socprimes.filters import SIX_TERM_CUBIC, THREE_TERM_CUBIC, count_filters
+from socprimes.filters import SIX_TERM_CUBIC, count_filters
 from socprimes.modarith import jacobi
 from socprimes.polycong import cubic_discriminant, cubic_roots
 from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange, small_primes
-from socprimes.verifier import ScanMode, ScanStrategy, factorial_mod, recheck_witness, verify_distinct
+from socprimes.verifier import ScanMode, factorial_mod, recheck_witness, verify_distinct
 
 SURVIVORS_BELOW_1000 = [13, 173, 197, 277, 317, 397, 653, 853, 877, 997]
 
@@ -152,12 +152,10 @@ def test_checkpoint_resume_at_scale(tmp_path):
 
 def test_independent_routes_agree():
     with criterion("independent routes agree (scan strategies, root solving)"):
-        birthday = ScanStrategy(mode=ScanMode.BIRTHDAY)
-        bitset = ScanStrategy(mode=ScanMode.NAIVE_BITSET)
         for p in naive_primes(10**4):
             if p < 5:
                 continue
-            assert verify_distinct(p, birthday) == verify_distinct(p, bitset), p
+            assert verify_distinct(p, ScanMode.BIRTHDAY) == verify_distinct(p, ScanMode.NAIVE_BITSET), p
 
         for p in naive_primes(2000):
             if p < 3:
@@ -230,7 +228,7 @@ def test_fp_floor_and_heuristic():
     with criterion("F(p) floor and the survival heuristic"):
         assert fp_statistic(5).f_value == 2
         assert fp_statistic(7).f_value == 3
-        hist = fp_histogram(10**5)
+        hist = fp_histogram(10**5, jobs=2)
         assert hist.min_f == 2
         assert hist.min_f_primes == (5,)  # no further F = 2 prime below 10^5
 

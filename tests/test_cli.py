@@ -32,11 +32,6 @@ class TestVerify:
         assert main(["verify", "5"]) == 2
         assert "SOCIALIST" in capsys.readouterr().out
 
-    def test_inconclusive(self, capsys):
-        code = main(["verify", "997", "--strategy", "birthday", "--cap", "4", "--no-escalate"])
-        assert code == 1
-        assert "Inconclusive" in capsys.readouterr().out
-
     def test_bitset_strategy(self, capsys):
         assert main(["verify", "7", "--strategy", "bitset"]) == 0
         assert capsys.readouterr().out == "p=7: Collision 3! == 6! == 6 (mod 7)\n"
@@ -107,6 +102,42 @@ class TestSearch:
         assert code == 0
         assert doc["complete"] is True and doc["resumed"] is True
         assert open(part, "rb").read() == open(full, "rb").read()
+
+    @pytest.fixture
+    def stopped(self, capsys, tmp_path):
+        """A leg of search [7, 9000) stopped after 2 segments: (checkpoint, results, run argv)."""
+        part, ckpt = tmp_path / "part.jsonl", tmp_path / "part.ckpt"
+        base = ["search", "--out", str(part), "--checkpoint", str(ckpt), "--threads", "1"]
+        assert main(base + ["--from", "7", "--to", "9000", "--segment-size", "1024",
+                            "--stop-after-segments", "2"]) == 0
+        capsys.readouterr()
+        return ckpt, part, base
+
+    @pytest.mark.parametrize("args", [
+        ["--from", "7", "--to", "50000"],
+        ["--to", "50000"],
+        ["--from", "8"],
+        ["--from", "2", "--to", "8999"],
+        ["--from", "7", "--to", "9000", "--strict-cubic"],
+        ["--strict-cubic"],
+    ], ids=["range", "to", "from", "clamped-from-other-to", "strict-same-range", "strict"])
+    def test_resume_refuses_another_search(self, capsys, stopped, args):
+        ckpt, part, base = stopped
+        before = ckpt.read_bytes(), part.read_bytes()
+        assert main(base + args) == 1
+        assert "checkpoint" in capsys.readouterr().err
+        assert (ckpt.read_bytes(), part.read_bytes()) == before
+
+    @pytest.mark.parametrize("args", [[], ["--from", "2", "--to", "9000"], ["--to", "9000"], ["--from", "7"]],
+                             ids=["none", "clamped-from", "to", "from"])
+    def test_resume_accepts_the_same_search(self, capsys, tmp_path, stopped, args):
+        ckpt, part, base = stopped
+        full = str(tmp_path / "full.jsonl")
+        assert main(["search", "--from", "7", "--to", "9000", "--out", full, "--threads", "1"]) == 0
+        capsys.readouterr()
+        code, doc = run_json(capsys, base + args + ["--json"])
+        assert code == 0 and doc["complete"] and doc["resumed"]
+        assert part.read_bytes() == open(full, "rb").read()
 
     def test_bad_checkpoint_is_runtime_error(self, capsys, tmp_path):
         ckpt = tmp_path / "c.json"

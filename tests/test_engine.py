@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import hashlib
 import io
@@ -5,8 +6,14 @@ import json
 import logging
 import multiprocessing
 import os
+import random
 import shutil
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +33,7 @@ from socprimes.engine import (
     search,
 )
 from socprimes.primes import PrimeRange, small_primes
-from socprimes.verifier import ScanStrategy, factorial_mod, recheck_witness
+from socprimes.verifier import ScanMode, VerdictKind, factorial_mod, recheck_witness, verify_distinct
 
 NOT_OBJECTS = ([], [7, 3000], "checkpoint", 7, 7.5, None, True)
 WRONG_TYPES = (None, "7", 7.5, True, [7], {"lo": 7})
@@ -58,12 +65,20 @@ class TestCounters:
 
     def test_merge_and_roundtrip(self):
         c = Counters()
-        c.merge((5, 1, 1, 1, 1, 1, 0, 0))
-        c.merge((2, 0, 0, 0, 0, 1, 1, 0))
+        c.merge(Counters(examined=5, rejected_mod8=1, rejected_legendre5=1, rejected_legendre23=1,
+                         rejected_cubic=1, collisions=1))
+        c.merge(Counters(examined=2, collisions=1, neg_half_hits=1))
         assert c == Counters(examined=7, rejected_mod8=1, rejected_legendre5=1,
                              rejected_legendre23=1, rejected_cubic=1,
                              collisions=2, neg_half_hits=1)
         assert Counters.from_dict(c.as_dict()) == c
+
+    def test_as_dict_keys(self):
+        # the checkpoint's counters block and search --json carry these keys, in this order
+        assert tuple(Counters().as_dict()) == (
+            "examined", "rejected_mod8", "rejected_legendre5", "rejected_legendre23",
+            "rejected_cubic", "collisions", "neg_half_hits", "socialist",
+        )
 
     def test_from_dict_rejects_gaps(self):
         with pytest.raises(CheckpointError):
@@ -339,6 +354,56 @@ class TestProcessPool:
         assert open(part_out, "rb").read() == open(full.output_path, "rb").read()
 
 
+KILL_RANGE = PrimeRange(10**8, 10**8 + 32 * 4096, 4096)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_kill_range(tmp_path_factory):
+    out = tmp_path_factory.mktemp("kill") / "full.jsonl"
+    report = search(SearchConfig(range=KILL_RANGE, output_path=str(out)))
+    return report, out.read_bytes()
+
+
+class TestKilledRun:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sigkill_then_resume_reproduces_bytes(self, tmp_path, uninterrupted_kill_range, threads):
+        full, expected = uninterrupted_kill_range
+        rng = random.Random(20 + threads)
+        # kill once the run has committed `segments` segments, `delay` seconds later
+        segments, delay = rng.randrange(2, 12), rng.uniform(0, 0.05)
+        out, ckpt = tmp_path / "part.jsonl", tmp_path / "part.ckpt"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "socprimes.cli", "search", "--from", str(KILL_RANGE.lo),
+             "--to", str(KILL_RANGE.hi), "--segment-size", str(KILL_RANGE.segment_size), "--out", str(out),
+             "--checkpoint", str(ckpt), "--checkpoint-interval", "1", "--threads", str(threads)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            target = KILL_RANGE.lo + segments * KILL_RANGE.segment_size
+            while time.monotonic() < deadline and proc.poll() is None:
+                try:
+                    if json.loads(ckpt.read_text())["completed_through"] >= target:
+                        break
+                except FileNotFoundError:
+                    pass
+                time.sleep(0.002)
+            time.sleep(delay)
+        finally:
+            # the whole session, so pool workers die with their coordinator
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(30)
+        assert proc.returncode == -signal.SIGKILL, "the search ended before it was killed"
+        assert json.loads(ckpt.read_text())["completed_through"] < KILL_RANGE.hi
+
+        assert main(["search", "--checkpoint", str(ckpt), "--threads", "1"]) == 0
+        assert out.read_bytes() == expected
+        assert json.loads(ckpt.read_text())["counters"] == full.counters.as_dict()
+
+
 def make_checkpoint(tmp_path):
     ckpt = str(tmp_path / "c.json")
     cfg = SearchConfig(
@@ -517,7 +582,7 @@ class TestSocialistPath:
         out = io.BytesIO()
         record = {"p": 5, "outcome": "Socialist"}
         with caplog.at_level(logging.CRITICAL, logger="socprimes.engine"):
-            _commit(state, out, (1, 0, 0, 0, 0, 0, 0, 1), [record], seg_hi=100)
+            _commit(state, out, Counters(examined=1, socialist=1), [record], seg_hi=100)
         assert state.socialist == [5]
         assert "SOCIALIST" in caplog.text
         assert json.loads(out.getvalue().decode("ascii")) == record
@@ -526,8 +591,6 @@ class TestSocialistPath:
 
     def test_verdict_five_is_socialist_shaped(self):
         # the scan machinery itself must keep recognising the one known case
-        from socprimes.verifier import ScanMode, VerdictKind, verify_distinct
-
-        v = verify_distinct(5, ScanStrategy(mode=ScanMode.NAIVE_BITSET))
+        v = verify_distinct(5, ScanMode.NAIVE_BITSET)
         assert v.kind is VerdictKind.SOCIALIST
         assert factorial_mod(4, 5) == 4

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import naive_primes
+from conftest import THREE_TERM_CUBIC, naive_primes
 from socprimes.filters import (
     SIX_TERM_CUBIC,
-    THREE_TERM_CUBIC,
     FilterOutcome,
     FilterVerdict,
     count_filters,

@@ -5,10 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import factorials_agree, naive_primes, reference_scan, verdict_tuple
+from socprimes import verifier
 from socprimes.primes import primes_in_segment, small_primes
 from socprimes.verifier import (
     ScanMode,
-    ScanStrategy,
     Verdict,
     VerdictKind,
     default_cap,
@@ -19,11 +19,7 @@ from socprimes.verifier import (
 
 ODD_PRIMES = [p for p in naive_primes(2000) if p > 2]
 
-ALL_STRATEGIES = [
-    ScanStrategy(),
-    ScanStrategy(mode=ScanMode.BIRTHDAY),
-    ScanStrategy(mode=ScanMode.NAIVE_BITSET),
-]
+ALL_MODES = list(ScanMode)
 
 
 class TestFactorialMod:
@@ -79,9 +75,9 @@ class TestStrategyAgreement:
             if p < 5:
                 continue
             want = reference_scan(p)
-            for strategy in ALL_STRATEGIES:
-                got = verify_distinct(p, strategy)
-                assert verdict_tuple(got) == want, (p, strategy, got)
+            for mode in ALL_MODES:
+                got = verify_distinct(p, mode)
+                assert verdict_tuple(got) == want, (p, mode, got)
 
     @given(st.integers(2, 4000))
     def test_odd_composites_agree_with_oracle(self, half_n):
@@ -89,8 +85,8 @@ class TestStrategyAgreement:
         # make cheap extra coverage for the event ordering rules
         n = 2 * half_n + 1
         want = reference_scan(n)
-        for strategy in ALL_STRATEGIES:
-            assert verdict_tuple(verify_distinct(n, strategy)) == want
+        for mode in ALL_MODES:
+            assert verdict_tuple(verify_distinct(n, mode)) == want
 
     def test_neg_half_disabled_matches_reference_collisions(self):
         # with the midpoint rule off, every verdict below 2000 is still
@@ -104,25 +100,28 @@ class TestStrategyAgreement:
 
 
 class TestBirthdayWindow:
-    def test_escalation_reaches_the_same_verdict(self):
-        for p in (997, 853, 1997):
-            tiny = verify_distinct(p, ScanStrategy(mode=ScanMode.BIRTHDAY, cap=4))
-            full = verify_distinct(p, ScanStrategy(mode=ScanMode.NAIVE_BITSET))
-            assert tiny == full, p
+    def test_escalation_reaches_the_same_verdict(self, monkeypatch):
+        full = {p: verify_distinct(p, ScanMode.NAIVE_BITSET) for p in (997, 853, 1997)}
+        escalated = []
+        real_bitset = verifier._scan_bitset
 
-    def test_no_escalation_is_inconclusive(self):
-        v = verify_distinct(997, ScanStrategy(mode=ScanMode.BIRTHDAY, cap=10, escalate=False))
-        assert v.kind is VerdictKind.INCONCLUSIVE
-        assert v.scanned_up_to == 11
-        assert v.j is None and v.k is None
+        def bitset(p, check_neg):
+            escalated.append(p)
+            return real_bitset(p, check_neg)
 
-    def test_window_covering_everything_is_conclusive(self):
-        v = verify_distinct(5, ScanStrategy(mode=ScanMode.BIRTHDAY, cap=10**6, escalate=False))
-        assert v.kind is VerdictKind.SOCIALIST
+        # a window of 4 residues ends dry for each of these primes
+        monkeypatch.setattr(verifier, "default_cap", lambda p: 4)
+        monkeypatch.setattr(verifier, "_scan_bitset", bitset)
+        for p, want in full.items():
+            assert verify_distinct(p) == want, p
+        assert escalated == list(full)
 
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            verify_distinct(13, ScanStrategy(cap=0))
+    def test_window_covering_everything_is_conclusive(self, monkeypatch):
+        def bitset(p, check_neg):
+            raise AssertionError("the birthday window of p=5 covers every factorial")
+
+        monkeypatch.setattr(verifier, "_scan_bitset", bitset)
+        assert verify_distinct(5).kind is VerdictKind.SOCIALIST
 
     def test_default_cap(self):
         assert default_cap(100) == 640
