@@ -7,7 +7,8 @@ a range either fails a cheap necessary condition or comes with an
 explicit factorial collision witness.
 
 Layering: modarith and primes are arithmetic bedrock, polycong finds the
-cubic roots the filters need, filters stages the necessary conditions,
+roots mod p of a monic polynomial of any degree (stage 2 asks it for the
+roots of one cubic), filters stages the necessary conditions,
 verifier performs full distinctness scans, engine drives checkpointed
 range searches, analytics measures the F(p) distribution and the
 vanishing heuristic, and cli fronts it all.
@@ -43,7 +44,7 @@ from .filters import (
     stage_mod8,
 )
 from .modarith import inv_mod, jacobi, sqrt_mod
-from .polycong import CubicRootSet, MonicCubic, cubic_discriminant, cubic_roots
+from .polycong import poly_roots
 from .primes import PrimeRange, enumerate_primes, small_primes
 from .verifier import (
     ScanMode,
@@ -60,14 +61,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckpointError",
     "Counters",
-    "CubicRootSet",
     "FilterCounts",
     "FilterOutcome",
     "FilterVerdict",
     "FpHistogram",
     "FpStatistic",
     "HeuristicEstimate",
-    "MonicCubic",
     "PrimeRange",
     "RangeReport",
     "ScanMode",
@@ -76,8 +75,6 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "count_filters",
-    "cubic_discriminant",
-    "cubic_roots",
     "default_cap",
     "enumerate_primes",
     "expected_count",
@@ -88,6 +85,7 @@ __all__ = [
     "heuristic",
     "inv_mod",
     "jacobi",
+    "poly_roots",
     "recheck_witness",
     "resume",
     "run_pipeline",

@@ -88,7 +88,8 @@ def _print_report(report: RangeReport) -> None:
 def _cmd_search(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     if args.checkpoint and os.path.exists(args.checkpoint):
-        check_resume(args.checkpoint, args.lo, args.hi, args.strict_cubic)
+        check_resume(args.checkpoint, args.lo, args.hi, args.strict_cubic,
+                     args.segment_size, args.checkpoint_interval)
         report = resume(
             args.checkpoint,
             output_path=args.out,
@@ -98,13 +99,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
     else:
         if args.lo is None or args.hi is None:
             args.parser.error("--from and --to are required unless resuming from a checkpoint")
+        # the two sizes default to None so that a resume can tell "not given"
+        # from a value the checkpoint must match
+        segment_size = DEFAULT_SEGMENT_SIZE if args.segment_size is None else args.segment_size
+        interval = SearchConfig.checkpoint_interval if args.checkpoint_interval is None else args.checkpoint_interval
         config = SearchConfig(
-            range=PrimeRange(args.lo, args.hi, args.segment_size),
+            range=PrimeRange(args.lo, args.hi, segment_size),
             output_path=args.out or "results.jsonl",
             threads=threads,
             strict_cubic=args.strict_cubic,
             checkpoint_path=args.checkpoint,
-            checkpoint_interval=args.checkpoint_interval,
+            checkpoint_interval=interval,
             stop_after_segments=args.stop_after_segments,
         )
         report = search(config)
@@ -223,12 +228,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--to", dest="hi", type=int, metavar="N", help="range end, exclusive")
     sp.add_argument("--out", metavar="PATH", help="results JSONL file (default results.jsonl, or the checkpoint's)")
     sp.add_argument("--checkpoint", metavar="PATH", help="checkpoint file; if it exists the run resumes from it")
-    sp.add_argument("--checkpoint-interval", type=int, default=16, metavar="SEGS",
-                    help="segments between checkpoint writes (default 16)")
+    sp.add_argument("--checkpoint-interval", type=int, metavar="SEGS",
+                    help="segments between checkpoint writes (default 16; a resume must match the checkpoint's)")
     sp.add_argument("--threads", type=int, metavar="N",
                     help="worker processes (default SOCPRIMES_THREADS, else CPU count)")
-    sp.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE, metavar="N",
-                    help=f"segment width (default {DEFAULT_SEGMENT_SIZE})")
+    sp.add_argument("--segment-size", type=int, metavar="N",
+                    help=f"segment width (default {DEFAULT_SEGMENT_SIZE}; a resume must match the checkpoint's)")
     sp.add_argument("--strict-cubic", action="store_true",
                     help="test every cubic root even when (1957/p) = +1")
     sp.add_argument("--stop-after-segments", type=int, metavar="N",

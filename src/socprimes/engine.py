@@ -483,13 +483,15 @@ def search(config: SearchConfig) -> RangeReport:
 
 
 def check_resume(checkpoint_path: str, lo: int | None = None, hi: int | None = None,
-                 strict_cubic: bool = False) -> None:
+                 strict_cubic: bool = False, segment_size: int | None = None,
+                 checkpoint_interval: int | None = None) -> None:
     """Raise CheckpointError unless resuming checkpoint_path runs the search asked for.
 
     lo and hi, where given, must match the checkpoint's range once clamped
     the way search clamps them (the other end defaults to the checkpoint's);
-    strict_cubic=True needs a checkpoint of a strict search.  Reads only
-    the checkpoint.
+    strict_cubic=True needs a checkpoint of a strict search; segment_size
+    and checkpoint_interval, where given, must equal the checkpoint's,
+    since resume takes both from it.  Reads only the checkpoint.
     """
     payload = _load_checkpoint(checkpoint_path)
     have = payload["lo"], payload["hi"]
@@ -499,6 +501,9 @@ def check_resume(checkpoint_path: str, lo: int | None = None, hi: int | None = N
                               f"not [{want[0]}, {want[1]})")
     if strict_cubic and not payload["strict_cubic"]:
         raise CheckpointError(f"checkpoint {checkpoint_path} is for a search without strict cubic checking")
+    for key, given in (("segment_size", segment_size), ("checkpoint_interval", checkpoint_interval)):
+        if given is not None and given != payload[key]:
+            raise CheckpointError(f"checkpoint {checkpoint_path} has {key} {payload[key]}, not {given}")
 
 
 def resume(checkpoint_path: str, output_path: str | None = None,

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .modarith import inv_mod, jacobi, sqrt_mod
-from .polycong import MonicCubic, cubic_roots
+# kept under this name because perfbench/spans.py wraps filters.cubic_roots
+from .polycong import poly_roots as cubic_roots
 from .primes import PrimeRange, enumerate_primes
 
 __all__ = [
@@ -42,9 +43,10 @@ __all__ = [
     "count_filters",
 ]
 
-#: y(y+4)(y+6) - 1 where y = x(x+5) compresses x(x+1)...(x+5) - 1.
-#: Its discriminant is 1957, the constant behind stage 2's shortcut.
-SIX_TERM_CUBIC = MonicCubic(b=10, c=24, d=-1)
+#: y^3 + 10y^2 + 24y - 1 = y(y+4)(y+6) - 1, low to high, where y = x(x+5)
+#: compresses x(x+1)...(x+5) - 1.  Its discriminant is 1957, the
+#: constant behind stage 2's shortcut.
+SIX_TERM_CUBIC = (-1, 24, 10, 1)
 
 
 class FilterVerdict(Enum):
@@ -98,7 +100,7 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     """
     if not strict and jacobi(1957, p) == 1:
         return None
-    roots = cubic_roots(SIX_TERM_CUBIC, p).roots
+    roots = cubic_roots(SIX_TERM_CUBIC, p)
     failing = [y for y in roots if jacobi((4 * y + 25) % p, p) != -1]
     if not failing:
         return None

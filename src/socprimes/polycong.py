@@ -1,69 +1,31 @@
-"""Root finding for small monic polynomials mod p.
+"""Root finding for small monic polynomials mod p, of any degree.
 
 Polynomials are coefficient sequences in low-to-high order, so
-``(d, c, b, 1)`` is ``y^3 + b*y^2 + c*y + d``.  Everything here targets
-degree at most 3, which keeps quotient-ring arithmetic tiny while still
-covering the cubics the filter pipeline cares about.
+``(-1, 24, 10, 1)`` is ``y^3 + 10*y^2 + 24*y - 1``.
 
-Root counts mod p are what the pipeline consumes, and they are recovered
-without factoring machinery beyond gcd with the Frobenius image:
-``gcd(f, y^p - y)`` is the product of the distinct linear factors of f.
+``poly_roots`` first takes ``g = gcd(f, y^p - y)``.  Since ``y^p - y`` is
+the product of ``y - a`` over every residue a, g is the product of
+``y - r`` over the distinct roots r of f, each once.  g is squarefree even
+when f has a repeated root (when p divides the discriminant of f), so
+that case needs no special handling.  g is then split by equal-degree
+splitting (Cantor-Zassenhaus): ``gcd(g, (y+s)^((p-1)/2) - 1)`` collects
+the roots r with r + s a nonzero square, for shifts s = 1, 2, ... until
+one separates g.  For two distinct roots r, t the character sum of
+(r+s)(t+s) over all s is -1, so some s <= p separates them; the shifts
+are fixed, so results never depend on a random seed.
+
+Both powers taken are powers of a linear element, ``y^p`` and
+``(y+s)^((p-1)/2)``, so they are computed left to right: square, then
+multiply by y + s, which is a shift plus one reduction row.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import Sequence
 
-from .modarith import inv_mod, sqrt_mod
+from .modarith import inv_mod
 
-__all__ = [
-    "MonicCubic",
-    "CubicRootSet",
-    "cubic_discriminant",
-    "cubic_roots",
-]
-
-
-@dataclass(frozen=True)
-class MonicCubic:
-    """y^3 + b*y^2 + c*y + d with integer coefficients."""
-
-    b: int
-    c: int
-    d: int
-
-    def eval_mod(self, y: int, p: int) -> int:
-        return (((y + self.b) * y + self.c) * y + self.d) % p
-
-    def coeffs(self) -> tuple[int, int, int, int]:
-        """Low-to-high coefficient tuple (d, c, b, 1)."""
-        return (self.d, self.c, self.b, 1)
-
-
-@dataclass(frozen=True)
-class CubicRootSet:
-    """All roots of one cubic modulo p, sorted ascending."""
-
-    p: int
-    roots: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if list(self.roots) != sorted(set(self.roots)):
-            raise ValueError("roots must be strictly increasing")
-        if any(not 0 <= r < self.p for r in self.roots):
-            raise ValueError("roots must be reduced mod p")
-
-
-def cubic_discriminant(f: MonicCubic) -> int:
-    """Discriminant of y^3 + b y^2 + c y + d as an exact integer."""
-    b, c, d = f.b, f.c, f.d
-    return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
-
-
-# ----------------------------------------------------------------------
-# dense polynomial helpers over Z/p, coefficients low to high
+__all__ = ["poly_roots"]
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -99,95 +61,64 @@ def _poly_gcd_monic(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return a
 
 
-def _qring_mul(u: list[int], v: list[int], f: Sequence[int], p: int) -> list[int]:
-    # product of two elements of Z/p[y]/(f) with f monic
-    n = len(f) - 1
-    prod = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                prod[i + j] = (prod[i + j] + ui * vj) % p
-    for i in range(len(prod) - 1, n - 1, -1):
-        coef = prod[i]
-        if coef:
-            prod[i] = 0
-            for j in range(n):
-                prod[i - n + j] = (prod[i - n + j] - coef * f[j]) % p
-    del prod[n:]
-    while len(prod) < n:
-        prod.append(0)
-    return prod
+def _linear_pow(s: int, e: int, g: Sequence[int], p: int) -> list[int]:
+    # (y + s)^e in Z/p[y]/(g) for monic g, as deg g coefficients
+    n = len(g) - 1
+    row = [-c % p for c in g[:n]]  # y^n == sum row[j] y^j
+    r = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * n - 1)
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(r):
+                    sq[i + j] += a * b
+        for k in range(2 * n - 2, n - 1, -1):
+            c = sq[k] % p
+            if c:
+                for j in range(n):
+                    sq[k - n + j] += c * row[j]
+        r = sq[:n]
+        if bit == "1":
+            top = r[-1] % p
+            r = [s * r[0] + top * row[0]] + [r[j - 1] + s * r[j] + top * row[j] for j in range(1, n)]
+        r = [c % p for c in r]
+    return r
 
 
-def _qring_pow(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    n = len(f) - 1
-    result = [0] * n
-    result[0] = 1
-    acc = list(base) + [0] * (n - len(base))
-    while e:
-        if e & 1:
-            result = _qring_mul(result, acc, f, p)
-        acc = _qring_mul(acc, acc, f, p)
-        e >>= 1
-    return result
-
-
-def _quadratic_roots(g: Sequence[int], p: int) -> list[int]:
-    # g = y^2 + B y + C, known to split into distinct linear factors
-    c0, b1 = g[0], g[1]
-    disc = (b1 * b1 - 4 * c0) % p
-    s = sqrt_mod(disc, p)
-    assert s is not None, "split certificate violated"
-    inv2 = inv_mod(2, p)
-    return [(-b1 + s) * inv2 % p, (-b1 - s) * inv2 % p]
-
-
-def _split_linear_product(g: list[int], p: int, rng: random.Random) -> list[int]:
-    # g monic and a product of distinct linear factors
-    deg = len(g) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
+def _split(g: list[int], p: int) -> list[int]:
+    # g monic and a product of distinct linear factors, degree >= 1
+    if len(g) == 2:
         return [-g[0] % p]
-    if deg == 2:
-        return _quadratic_roots(g, p)
-    # deg == 3: probe random shifts until the quadratic character of
-    # y + s separates at least one pair of roots
     half = (p - 1) >> 1
-    while True:
-        s = rng.randrange(p)
-        w = _qring_pow([s, 1], half, g, p)
-        w[0] = (w[0] - 1) % p
+    for s in range(1, p + 1):
+        w = _linear_pow(s, half, g, p)
+        w[0] -= 1
         h = _poly_gcd_monic(g, w, p)
-        if 0 < len(h) - 1 < deg:
-            quo = _poly_divmod(g, h, p)[0]
-            return _split_linear_product(h, p, rng) + _split_linear_product(quo, p, rng)
+        if 1 < len(h) < len(g):
+            return _split(h, p) + _split(_poly_divmod(g, h, p)[0], p)
+    raise ArithmeticError(f"no shift splits a product of distinct linear factors mod {p}")
 
 
-def cubic_roots(f: MonicCubic, p: int) -> CubicRootSet:
-    """All roots of f modulo the odd prime p, as a sorted tuple.
+def poly_roots(f: Sequence[int], p: int) -> tuple[int, ...]:
+    """The distinct roots of the monic f modulo the odd prime p, sorted.
 
-    The generic path computes gcd(f, y^p - y) through one Frobenius power
-    in the quotient ring, then splits by degree: degree 1 reads the root
-    off, degree 2 uses the quadratic formula, degree 3 runs equal-degree
-    splitting with a shift sequence seeded by p so results are
-    reproducible.  When p divides the discriminant the gcd trick still
-    terminates but the squarefree reasoning behind the degree dispatch
-    does not apply, so those p fall back to direct evaluation at every
-    residue.
+    f is a low-to-high coefficient sequence of degree at least 1 whose
+    last coefficient is 1.  Each root is checked by evaluating f before
+    it is returned.
     """
     if p < 3 or p & 1 == 0:
         raise ValueError("modulus must be an odd prime")
-    coeffs = [x % p for x in f.coeffs()]
-    if cubic_discriminant(f) % p == 0:
-        roots = [y for y in range(p) if f.eval_mod(y, p) == 0]
-        return CubicRootSet(p, tuple(roots))
-
-    yp = _qring_pow([0, 1], p, coeffs, p)
-    yp[1] = (yp[1] - 1) % p
+    if len(f) < 2 or f[-1] != 1:
+        raise ValueError("need a monic polynomial of degree at least 1")
+    coeffs = [c % p for c in f]
+    yp = _linear_pow(0, p, coeffs, p) + [0]  # room for the y term when deg f = 1
+    yp[1] -= 1
     g = _poly_gcd_monic(coeffs, yp, p)
-    roots = _split_linear_product(g, p, random.Random(p))
+    roots = sorted(_split(g, p)) if len(g) > 1 else []
     for r in roots:
-        if f.eval_mod(r, p):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * r + c) % p
+        if v:
             raise ArithmeticError(f"root extraction produced a non-root mod {p}")
-    return CubicRootSet(p, tuple(sorted(roots)))
+    return tuple(roots)

@@ -1,7 +1,8 @@
 """Shared oracles for the test suite.
 
 Everything here is deliberately naive: trial division, Euler's criterion,
-full-range root scans, a dict-only factorial walk, factorials built from 1.
+power-sum evaluation, full-range root scans, the closed-form cubic
+discriminant, a dict-only factorial walk, factorials built from 1.
 The point is an arithmetic path independent of the package's production
 code, so the two can disagree loudly when one is wrong.
 
@@ -16,7 +17,7 @@ from typing import Sequence
 from hypothesis import HealthCheck, settings
 
 from socprimes.modarith import jacobi
-from socprimes.polycong import MonicCubic, cubic_discriminant, cubic_roots
+from socprimes.polycong import poly_roots
 
 settings.register_profile(
     "suite",
@@ -26,10 +27,11 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-#: x(x+1)(x+2) - 1 in monic form; a root x would give (x+2)! == (x-1)!.
-#: Its discriminant is -23, the constant behind filter stage 1's second
-#: symbol.  The pipeline never solves it, so only the tests hold it.
-THREE_TERM_CUBIC = MonicCubic(b=3, c=2, d=-1)
+#: x(x+1)(x+2) - 1 = x^3 + 3x^2 + 2x - 1, low to high; a root x would
+#: give (x+2)! == (x-1)!.  Its discriminant is -23, the constant behind
+#: filter stage 1's second symbol.  The pipeline never solves it, so only
+#: the tests hold it.
+THREE_TERM_CUBIC = (-1, 2, 3, 1)
 
 
 def naive_primes(limit: int) -> list[int]:
@@ -47,9 +49,20 @@ def euler_symbol(a: int, p: int) -> int:
     return r - p if r > 1 else r
 
 
-def brute_cubic_roots(b: int, c: int, d: int, p: int) -> tuple[int, ...]:
-    """Roots of y^3 + b y^2 + c y + d mod p by evaluating everywhere."""
-    return tuple(y for y in range(p) if (((y + b) * y + c) * y + d) % p == 0)
+def eval_mod(coeffs: Sequence[int], y: int, p: int) -> int:
+    """The polynomial with low-to-high coeffs at y, as a sum of c * y^i mod p."""
+    return sum(c * pow(y, i, p) for i, c in enumerate(coeffs)) % p
+
+
+def brute_roots(coeffs: Sequence[int], p: int) -> tuple[int, ...]:
+    """Roots of the low-to-high coeffs mod p by evaluating everywhere."""
+    return tuple(y for y in range(p) if eval_mod(coeffs, y, p) == 0)
+
+
+def cubic_discriminant(coeffs: Sequence[int]) -> int:
+    """Discriminant of y^3 + b y^2 + c y + d, given as (d, c, b, 1), exactly."""
+    d, c, b, _one = coeffs
+    return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
 
 
 def reference_scan(p: int) -> tuple:
@@ -138,7 +151,7 @@ def factor_parity(coeffs: Sequence[int], p: int) -> FactorParity:
     elif degree == 2:
         disc = coeffs[1] ** 2 - 4 * coeffs[0]
     else:
-        disc = cubic_discriminant(MonicCubic(coeffs[2], coeffs[1], coeffs[0]))
+        disc = cubic_discriminant(coeffs)
     if disc % p == 0:
         raise ValueError(f"{p} divides the discriminant {disc}")
 
@@ -147,7 +160,7 @@ def factor_parity(coeffs: Sequence[int], p: int) -> FactorParity:
     elif degree == 2:
         nu = 2 if jacobi(disc, p) == 1 else 1
     else:
-        k = len(cubic_roots(MonicCubic(coeffs[2], coeffs[1], coeffs[0]), p).roots)
+        k = len(poly_roots(coeffs, p))
         # squarefree cubic: 3 roots, 1 root, or none; 2 would need a
         # repeated factor
         nu = {3: 3, 1: 2, 0: 1}[k]

@@ -4,6 +4,7 @@ Each test prints a single ACCEPTANCE PASS/FAIL line so a log scrape can
 grade the run: pytest tests/test_acceptance.py -v -s
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,12 +15,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import THREE_TERM_CUBIC, brute_cubic_roots, factor_parity, naive_primes, sextic_substitution_check
+from conftest import (
+    THREE_TERM_CUBIC,
+    brute_roots,
+    cubic_discriminant,
+    eval_mod,
+    factor_parity,
+    naive_primes,
+    sextic_substitution_check,
+)
 from socprimes.analytics import fp_histogram, fp_statistic, heuristic
 from socprimes.engine import Counters, SearchConfig, resume, search
 from socprimes.filters import SIX_TERM_CUBIC, count_filters
 from socprimes.modarith import jacobi
-from socprimes.polycong import cubic_discriminant, cubic_roots
+from socprimes.polycong import poly_roots
 from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange, small_primes
 from socprimes.verifier import ScanMode, factorial_mod, recheck_witness, verify_distinct
 
@@ -32,6 +41,11 @@ COUNTERS_1E6 = Counters(
 
 #: sha256 of the results file of search over [7, 10^6)
 SHA256_1E6 = "b4858987d556ee8afb8f3a987395eb08b7e3cd886fb1d36bf328904773b62291"
+
+#: the same search with strict_cubic=True: 826 stage-1 survivors that the
+#: (1957/p) shortcut passes move from collisions to cubic rejections
+COUNTERS_1E6_STRICT = dataclasses.replace(COUNTERS_1E6, rejected_cubic=2072, collisions=2836)
+SHA256_1E6_STRICT = "65a5e189d58a00d8d531c0a68a3a95a7b7aa3a3537df16560500a94ab7b4aa19"
 
 COUNTERS_1E7 = Counters(
     examined=664576, rejected_mod8=498373, rejected_legendre5=83134,
@@ -108,6 +122,16 @@ def test_full_search_to_one_million(million_run):
         assert elapsed < 600.0, f"took {elapsed:.2f}s, budget is 600s"
 
 
+def test_strict_search_to_one_million(tmp_path):
+    with criterion("strict cubic search to 10^6 writes its pinned results"):
+        out = tmp_path / "strict.jsonl"
+        report = search(SearchConfig(range=PrimeRange(7, 10**6), output_path=str(out), threads=1,
+                                     strict_cubic=True))
+        assert report.complete and report.socialist_primes == []
+        assert report.counters == COUNTERS_1E6_STRICT
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SHA256_1E6_STRICT
+
+
 def test_checkpoint_resume_at_scale(tmp_path):
     with criterion("checkpointed long-range mode reproduces a straight run"):
         full_out = str(tmp_path / "full.jsonl")
@@ -161,9 +185,7 @@ def test_independent_routes_agree():
             if p < 3:
                 continue
             for cubic in (SIX_TERM_CUBIC, THREE_TERM_CUBIC):
-                got = cubic_roots(cubic, p).roots
-                want = tuple(brute_cubic_roots(cubic.b, cubic.c, cubic.d, p))
-                assert got == want, (p, cubic)
+                assert poly_roots(cubic, p) == brute_roots(cubic, p), (p, cubic)
 
 
 def test_classical_identities():
@@ -199,7 +221,7 @@ def test_classical_identities():
             assert factor_parity((-1, 1, 1), p).holds, p
         rng = random.Random(1957)
         for p in rng.choices(above_1000, k=500):
-            assert factor_parity((-1, 24, 10, 1), p).holds, p
+            assert factor_parity(SIX_TERM_CUBIC, p).holds, p
 
         assert cubic_discriminant(SIX_TERM_CUBIC) == 1957
         assert cubic_discriminant(THREE_TERM_CUBIC) == -23
@@ -221,7 +243,7 @@ def test_cubic_rejections_carry_collisions(million_run):
             for i in range(6):
                 prod = prod * (w["x"] + i) % p
             assert prod == 1, p
-            assert SIX_TERM_CUBIC.eval_mod(w["y"], p) == 0, p
+            assert eval_mod(SIX_TERM_CUBIC, w["y"], p) == 0, p
 
 
 def test_fp_floor_and_heuristic():

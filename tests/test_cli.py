@@ -120,7 +120,10 @@ class TestSearch:
         ["--from", "2", "--to", "8999"],
         ["--from", "7", "--to", "9000", "--strict-cubic"],
         ["--strict-cubic"],
-    ], ids=["range", "to", "from", "clamped-from-other-to", "strict-same-range", "strict"])
+        ["--segment-size", "2048"],
+        ["--checkpoint-interval", "1"],
+    ], ids=["range", "to", "from", "clamped-from-other-to", "strict-same-range", "strict",
+            "segment-size", "checkpoint-interval"])
     def test_resume_refuses_another_search(self, capsys, stopped, args):
         ckpt, part, base = stopped
         before = ckpt.read_bytes(), part.read_bytes()
@@ -128,8 +131,9 @@ class TestSearch:
         assert "checkpoint" in capsys.readouterr().err
         assert (ckpt.read_bytes(), part.read_bytes()) == before
 
-    @pytest.mark.parametrize("args", [[], ["--from", "2", "--to", "9000"], ["--to", "9000"], ["--from", "7"]],
-                             ids=["none", "clamped-from", "to", "from"])
+    @pytest.mark.parametrize("args", [[], ["--from", "2", "--to", "9000"], ["--to", "9000"], ["--from", "7"],
+                                      ["--segment-size", "1024", "--checkpoint-interval", "16"]],
+                             ids=["none", "clamped-from", "to", "from", "same-sizes"])
     def test_resume_accepts_the_same_search(self, capsys, tmp_path, stopped, args):
         ckpt, part, base = stopped
         full = str(tmp_path / "full.jsonl")

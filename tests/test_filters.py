@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import THREE_TERM_CUBIC, naive_primes
+from conftest import THREE_TERM_CUBIC, cubic_discriminant, eval_mod, naive_primes
 from socprimes.filters import (
     SIX_TERM_CUBIC,
     FilterOutcome,
@@ -14,7 +14,6 @@ from socprimes.filters import (
     stage_mod8,
 )
 from socprimes.modarith import jacobi
-from socprimes.polycong import cubic_discriminant
 from socprimes.verifier import recheck_witness
 
 PRIMES_BELOW_10K = naive_primes(10**4)
@@ -84,7 +83,7 @@ class TestStageCubic:
                 seen += 1
                 assert six_term_product(out.x, p) == 1, p
                 assert 1 <= out.x <= p - 6, p
-                assert SIX_TERM_CUBIC.eval_mod(out.y, p) == 0, p
+                assert eval_mod(SIX_TERM_CUBIC, out.y, p) == 0, p
                 assert jacobi(4 * out.y + 25, p) != -1, p
         assert seen == 40
 

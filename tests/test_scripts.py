@@ -24,6 +24,14 @@ REPRODUCE_ROWS_1000_100000 = [
     "stage-1 survivors below 1,000: 13 173 197 277 317 397 653 853 877 997",
 ]
 
+#: the same table with --strict-cubic: only the two stage-2 rows move
+STRICT_ROWS_1000_100000 = [
+    *REPRODUCE_ROWS_1000_100000[:5],
+    "rejected cubic              4      254",
+    "candidates                  6      336",
+    *REPRODUCE_ROWS_1000_100000[7:],
+]
+
 
 def run_script(name, *args, cwd=None):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -31,12 +39,20 @@ def run_script(name, *args, cwd=None):
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300)
 
 
-def test_reproduce_counts_rows():
-    done = run_script("reproduce_counts.py", "--limits", "1000", "100000")
+def reproduce_counts_rows(*flags):
+    done = run_script("reproduce_counts.py", "--limits", "1000", "100000", *flags)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[7].startswith("seconds ")  # wall time, the one row that varies
-    assert lines[:7] + lines[8:] == REPRODUCE_ROWS_1000_100000
+    return lines[:7] + lines[8:]
+
+
+def test_reproduce_counts_rows():
+    assert reproduce_counts_rows() == REPRODUCE_ROWS_1000_100000
+
+
+def test_reproduce_counts_strict_rows():
+    assert reproduce_counts_rows("--strict-cubic") == STRICT_ROWS_1000_100000
 
 
 def test_search_billion_legs_match_one_search(tmp_path):
