@@ -7,7 +7,7 @@ carries the committed high-water mark, the counters and the results
 offset, and the finished results file is byte-identical to what one
 uninterrupted run would have written.  A checkpoint of another range
 than [7, --to), or one its results file does not match, is refused with
-exit 1.
+exit 1; a bad argument such as --threads 0 ends with exit 64.
 
     python3 scripts/search_billion.py --threads 4
     python3 scripts/search_billion.py --threads 4   # picks up where it left off
@@ -85,3 +85,6 @@ if __name__ == "__main__":
         sys.exit(main())
     except CheckpointError as exc:
         sys.exit(f"error: {exc}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(64)

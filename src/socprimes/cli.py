@@ -121,15 +121,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    verdict = verify_distinct(args.p, ScanMode(args.strategy), neg_half_check=not args.no_neg_half)
+    verdict = verify_distinct(args.p, ScanMode(args.strategy))
     if args.json:
         print(json.dumps({**asdict(verdict), "kind": verdict.kind.value}))
     else:
         p = verdict.p
         if verdict.kind is VerdictKind.COLLISION:
             print(f"p={p}: Collision {verdict.j}! == {verdict.k}! == {verdict.residue} (mod {p})")
-        elif verdict.kind is VerdictKind.NEG_HALF_HIT:
-            print(f"p={p}: NegHalfHit {verdict.k}! == -(({p}-1)/2)! == {verdict.residue} (mod {p})")
         else:
             print(f"p={p}: SOCIALIST, 2! .. {p - 1}! are pairwise distinct mod {p}")
     return 2 if verdict.kind is VerdictKind.SOCIALIST else 0
@@ -245,8 +243,6 @@ def _build_parser() -> _Parser:
     vp.add_argument("p", type=int, help="odd number >= 5 to scan")
     vp.add_argument("--strategy", choices=[m.value for m in ScanMode], default=ScanMode.BIRTHDAY.value,
                     help="scan strategy (default birthday)")
-    vp.add_argument("--no-neg-half", action="store_true",
-                    help="skip the k! == -((p-1)/2)! early exit")
     vp.add_argument("--json", action="store_true", help="emit the verdict as JSON")
     vp.set_defaults(func=_cmd_verify, parser=vp)
 

@@ -12,9 +12,9 @@ after it returns.
 
 The results file is line-delimited JSON holding one record per prime
 that survived stage 1 of the filter pipeline: cubic rejections carry a
-{y, x} witness, verified candidates a Collision {j, k, residue} or
-NegHalfHit {k, residue} witness, and any Socialist verdict is re-proved
-with an independent full bitset scan before being written.
+{y, x} witness, verified candidates a Collision {j, k, residue}
+witness, and any Socialist verdict is re-proved with an independent full
+bitset scan before being written.
 
 A checkpoint is a small JSON document naming the range, the committed
 high-water mark, the counters, and the byte length, record count and
@@ -30,6 +30,7 @@ even when the checkpoint committed no record yet.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -43,7 +44,8 @@ from typing import TYPE_CHECKING
 
 from .filters import FilterVerdict, run_pipeline
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange, primes_in_segment, small_primes
-from .verifier import ScanMode, VerdictKind, factorial_mod, recheck_witness, verify_distinct
+from .verifier import ScanMode, VerdictKind, recheck_witness, verify_distinct
+from .verifier import factorial_mod  # unused; kept bound because perfbench/spans.py wraps engine.factorial_mod
 
 if TYPE_CHECKING:
     import hashlib
@@ -104,7 +106,10 @@ class Counters:
 
     examined comes first; every later field names one outcome (a
     FilterVerdict value or a scan result), so examined always equals the
-    sum of the rest.
+    sum of the rest.  neg_half_hits is always 0: no scan reports that
+    outcome (see the verifier module), but the field stays because the
+    checkpoint counters block, search --json and the benchmark's
+    reference counters all carry it.
     """
 
     examined: int = 0
@@ -126,9 +131,9 @@ class Counters:
     @classmethod
     def from_dict(cls, d: dict[str, int]) -> Counters:
         values = {f.name: d.get(f.name) for f in fields(cls)}
-        bad = [name for name, v in values.items() if type(v) is not int]
+        bad = [name for name, v in values.items() if type(v) is not int or v < 0]
         if bad:
-            raise CheckpointError(f"bad counters block: {', '.join(bad)} not integers")
+            raise CheckpointError(f"bad counters block: {', '.join(bad)} not non-negative integers")
         return cls(**values)
 
     def partitioned(self) -> bool:
@@ -195,15 +200,7 @@ def _validate_config(config: SearchConfig) -> None:
 # ----------------------------------------------------------------------
 # worker side
 
-_base_cache: dict[int, list[int]] = {}
-
-
-def _base_primes(limit: int) -> list[int]:
-    primes = _base_cache.get(limit)
-    if primes is None:
-        primes = small_primes(limit)
-        _base_cache[limit] = primes
-    return primes
+_base_primes = functools.cache(small_primes)
 
 
 def _classify(p: int, strict: bool) -> tuple[str, dict | None]:
@@ -225,17 +222,7 @@ def _classify(p: int, strict: bool) -> tuple[str, dict | None]:
             "outcome": "Collision",
             "witness": {"j": verdict.j, "k": verdict.k, "residue": verdict.residue},
         }
-    if verdict.kind is VerdictKind.NEG_HALF_HIT:
-        half = (p - 1) >> 1
-        if (factorial_mod(verdict.k, p) != verdict.residue
-                or verdict.residue != p - factorial_mod(half, p)):
-            raise ArithmeticError(f"neg-half witness for p={p} failed recheck")
-        return "neg_half_hits", {
-            "p": p,
-            "outcome": "NegHalfHit",
-            "witness": {"k": verdict.k, "residue": verdict.residue},
-        }
-    confirm = verify_distinct(p, ScanMode.NAIVE_BITSET, neg_half_check=False)
+    confirm = verify_distinct(p, ScanMode.NAIVE_BITSET)
     if confirm.kind is not VerdictKind.SOCIALIST:
         raise ArithmeticError(f"socialist verdict for p={p} failed its confirmation scan")
     return "socialist", {"p": p, "outcome": "Socialist"}
@@ -321,10 +308,12 @@ def _load_checkpoint(path: str) -> dict:
     counters = Counters.from_dict(payload["counters"])
     if not counters.partitioned():
         raise CheckpointError("checkpoint counters do not partition examined")
-    if not all(type(p) is int for p in payload["socialist"]):
-        raise CheckpointError("checkpoint socialist list holds a non-integer")
-    if not payload["lo"] <= payload["completed_through"] <= payload["hi"]:
-        raise CheckpointError("checkpoint high-water mark outside its range")
+    lo, done, socialist = payload["lo"], payload["completed_through"], payload["socialist"]
+    if not DOMAIN_START <= lo <= done <= payload["hi"]:
+        raise CheckpointError(f"checkpoint breaks {DOMAIN_START} <= lo <= completed_through <= hi")
+    if (len(socialist) != counters.socialist or not all(type(p) is int for p in socialist)
+            or socialist != sorted(set(socialist)) or not all(lo <= p < done for p in socialist)):
+        raise CheckpointError("checkpoint socialist list does not match its counter and committed range")
     if payload["output_offset"] < 0 or payload["checkpoint_interval"] < 1:
         raise CheckpointError("checkpoint output_offset or checkpoint_interval out of range")
     return payload

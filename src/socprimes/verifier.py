@@ -5,12 +5,20 @@ reports the first event it proves:
 
 * Collision(j, k, residue): j! == k! mod p with j < k, the first such k in
   scan order and the smallest j for that k.
-* NegHalfHit(k): k! == -((p-1)/2)! mod p for some k past the midpoint.
-  Only checked when p == 1 (mod 4), where ((p-1)/2)! is a square root of
-  -1 and the hit pins a genuine duplicate among the half factorials.  For
-  p == 3 (mod 4) the midpoint factorial is one of +-1 and the analogous
-  check would misfire on ordinary values, so it is skipped.
 * Socialist: the scan exhausted k = p-1 with every value fresh.
+
+No third event is needed.  A rule that stops at k! == -((p-1)/2)! past
+the midpoint never fires before a Collision does, so the scans carry
+none.  For prime p == 1 (mod 4), with h = ((p-1)/2)!, h^2 == -1 and
+Wilson gives k! (p-1-k)! == (-1)^(k+1).  Suppose k > (p-1)/2 and
+k! == -h.  Then k <= p-3, since (p-2)! == 1 and (p-1)! == -1 would make
+h one of +-1; so j = p-1-k >= 2 and j! == (-1)^(k+1) h.  For odd k,
+j! == h, a collision found at step (p-1)/2, before the scan reaches k.
+For even k, j! == k!, so the duplicate lookup at step k reports the
+Collision.  The rule is only sound for p == 1 (mod 4): otherwise h is
+one of +-1 and k! == -h pins no duplicate.  For odd composite n > 9,
+((n-1)/2)! == 0 (mod n), so every factorial past the midpoint repeats
+that 0 and the lookup fires first; n = 9 collides at k = 4.
 
 Two scan modes share these semantics and must agree event for event.
 Birthday keeps a dict of the residues seen in a window of default_cap(p)
@@ -45,7 +53,6 @@ __all__ = [
 class VerdictKind(Enum):
     SOCIALIST = "Socialist"
     COLLISION = "Collision"
-    NEG_HALF_HIT = "NegHalfHit"
 
 
 class ScanMode(Enum):
@@ -57,9 +64,9 @@ class ScanMode(Enum):
 class Verdict:
     """Outcome of one distinctness scan.
 
-    j, k and residue are populated for Collision (j! == k! == residue);
-    NegHalfHit fills k and residue only.  scanned_up_to is the last k
-    whose factorial was examined.
+    j, k and residue are populated for Collision (j! == k! == residue)
+    and are None for Socialist.  scanned_up_to is the last k whose
+    factorial was examined.
     """
 
     p: int
@@ -112,11 +119,10 @@ def recheck_witness(p: int, j: int, k: int) -> bool:
     return f == 1
 
 
-def verify_distinct(p: int, mode: ScanMode = ScanMode.BIRTHDAY, *, neg_half_check: bool = True) -> Verdict:
+def verify_distinct(p: int, mode: ScanMode = ScanMode.BIRTHDAY) -> Verdict:
     """Scan 2! .. (p-1)! mod p and report the first proven event.
 
-    p must be an odd number >= 5 (primality is the caller's business;
-    the scan itself only needs oddness for the midpoint bookkeeping).
+    p must be an odd number >= 5 (primality is the caller's business).
     The verdict is deterministic and the same in either mode: Birthday
     scans a window of default_cap(p) factorials and, should that window
     end without an event, silently escalates to the NaiveBitset scan.
@@ -124,46 +130,25 @@ def verify_distinct(p: int, mode: ScanMode = ScanMode.BIRTHDAY, *, neg_half_chec
     """
     if p < 5 or p & 1 == 0:
         raise ValueError("scan needs an odd p >= 5")
-    check_neg = neg_half_check and p & 3 == 1
     if mode is ScanMode.BIRTHDAY:
-        verdict = _scan_birthday(p, default_cap(p), check_neg)
+        verdict = _scan_birthday(p, default_cap(p))
         if verdict is not None:
             return verdict
-    return _scan_bitset(p, check_neg)
+    return _scan_bitset(p)
 
 
-def _scan_birthday(p: int, cap: int, check_neg: bool) -> Verdict | None:
+def _scan_birthday(p: int, cap: int) -> Verdict | None:
     """Dict-backed scan of at most cap residues; None if the window ends dry."""
     limit = min(p - 1, cap + 1)
-    half = (p - 1) >> 1
     seen: dict[int, int] = {}
     get = seen.get
     f = 1
-
-    phase1_end = min(limit, half - 1) if check_neg else limit
-    for k in range(2, phase1_end + 1):
+    for k in range(2, limit + 1):
         f = f * k % p
         j = get(f)
         if j is not None:
             return Verdict(p, VerdictKind.COLLISION, j, k, f, scanned_up_to=k)
         seen[f] = k
-
-    if check_neg and limit >= half:
-        f = f * half % p
-        j = get(f)
-        if j is not None:
-            return Verdict(p, VerdictKind.COLLISION, j, half, f, scanned_up_to=half)
-        seen[f] = half
-        neg_h = p - f
-        for k in range(half + 1, limit + 1):
-            f = f * k % p
-            j = get(f)
-            if j is not None:
-                return Verdict(p, VerdictKind.COLLISION, j, k, f, scanned_up_to=k)
-            if f == neg_h:
-                return Verdict(p, VerdictKind.NEG_HALF_HIT, None, k, f, scanned_up_to=k)
-            seen[f] = k
-
     if limit >= p - 1:
         return Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1)
     return None
@@ -179,21 +164,15 @@ def _first_index_of(p: int, residue: int, below: int) -> int:
     raise AssertionError("collision residue vanished on re-scan")
 
 
-def _scan_bitset(p: int, check_neg: bool) -> Verdict:
+def _scan_bitset(p: int) -> Verdict:
     """Full scan against a p-bit membership table; always reaches an event."""
     table = bytearray((p >> 3) + 1)
-    half = (p - 1) >> 1
     f = 1
-    neg_h = -1
     for k in range(2, p):
         f = f * k % p
         i = f >> 3
         bit = 1 << (f & 7)
         if table[i] & bit:
             return Verdict(p, VerdictKind.COLLISION, _first_index_of(p, f, k), k, f, scanned_up_to=k)
-        if f == neg_h:
-            return Verdict(p, VerdictKind.NEG_HALF_HIT, None, k, f, scanned_up_to=k)
-        if check_neg and k == half:
-            neg_h = p - f
         table[i] |= bit
     return Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1)

@@ -66,12 +66,14 @@ def cubic_discriminant(coeffs: Sequence[int]) -> int:
 
 
 def reference_scan(p: int) -> tuple:
-    """Dict-backed factorial walk with the same event rules as the package.
+    """Dict-backed factorial walk, plus a midpoint rule the package lacks.
 
     Returns ("Collision", j, k, residue), ("NegHalfHit", k, residue) or
     ("Socialist",).  The negative-half comparison runs only for
     p == 1 (mod 4), past the midpoint, and after the duplicate check at
-    the same k.
+    the same k.  It never fires (the verifier docstring proves why), so
+    the package's scans, which have no such rule, must agree with this
+    walk verdict for verdict.
     """
     half = (p - 1) // 2
     check_neg = p % 4 == 1

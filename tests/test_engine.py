@@ -574,6 +574,39 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError):
             resume(ckpt)
 
+    @pytest.mark.parametrize("damage", [
+        "false-discovery", "negative-counter", "lo-below-domain",
+        "repeated-socialist", "socialist-past-high-water",
+    ])
+    def test_values_no_search_writes_are_refused(self, tmp_path, damage):
+        # each passes the type checks and keeps the counters partitioned
+        ckpt, payload = make_checkpoint(tmp_path)
+        c = payload["counters"]
+
+        def claim_socialist(primes):
+            payload["socialist"] = primes
+            c["socialist"] += len(primes)
+            c["collisions"] -= len(primes)
+
+        if damage == "false-discovery":
+            payload["socialist"] = [13]
+        elif damage == "negative-counter":
+            c["rejected_mod8"] += c["collisions"] + 5
+            c["collisions"] = -5
+        elif damage == "lo-below-domain":
+            payload["lo"] = payload["completed_through"] = 2
+        elif damage == "repeated-socialist":
+            claim_socialist([13, 13])
+        else:
+            claim_socialist([payload["completed_through"] + 2])
+        self.rewrite(ckpt, payload)
+        files = [Path(ckpt), Path(payload["output_path"])]
+        before = [f.read_bytes() for f in files]
+        with pytest.raises(CheckpointError):
+            resume(ckpt)
+        assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
+        assert [f.read_bytes() for f in files] == before
+
 
 class TestSocialistPath:
     def test_commit_logs_and_tracks(self, caplog):

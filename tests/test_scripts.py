@@ -83,3 +83,12 @@ def test_search_billion_refuses_a_checkpoint_it_cannot_resume(tmp_path, damage):
     assert done.returncode == 1
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
     assert [(tmp_path / name).read_bytes() for name in ("billion.jsonl", "billion.ckpt")] == before
+
+
+@pytest.mark.parametrize("args", [("--to", "5"), ("--threads", "0"), ("--segments-per-leg", "0")],
+                         ids=["empty-range", "no-threads", "no-segments"])
+def test_search_billion_bad_argument_is_a_usage_error(tmp_path, args):
+    done = run_script("search_billion.py", *args, cwd=tmp_path)
+    assert done.returncode == 64
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -48,8 +48,7 @@ class TestKnownVerdicts:
         assert v.j is None and v.k is None and v.residue is None
 
     def test_seven_collides_at_the_end(self):
-        # 3! == 6! == 6 (mod 7); the midpoint rule must not fire first
-        # because 7 == 3 (mod 4)
+        # 3! == 6! == 6 (mod 7)
         v = verify_distinct(7)
         assert (v.kind, v.j, v.k, v.residue) == (VerdictKind.COLLISION, 3, 6, 6)
         assert v.scanned_up_to == 6
@@ -88,15 +87,11 @@ class TestStrategyAgreement:
         for mode in ALL_MODES:
             assert verdict_tuple(verify_distinct(n, mode)) == want
 
-    def test_neg_half_disabled_matches_reference_collisions(self):
-        # with the midpoint rule off, every verdict below 2000 is still
-        # the same collision (no NegHalfHit occurs in this range at all)
-        for p in ODD_PRIMES:
-            if p < 5:
-                continue
-            with_rule = verify_distinct(p)
-            without = verify_distinct(p, neg_half_check=False)
-            assert with_rule == without, p
+    def test_reference_midpoint_rule_never_fires(self):
+        # the oracle has a midpoint rule the scans lack; it must
+        # never reach it before a collision (see the verifier docstring)
+        for n in range(5, 30000, 2):
+            assert reference_scan(n)[0] != "NegHalfHit", n
 
 
 class TestBirthdayWindow:
@@ -105,9 +100,9 @@ class TestBirthdayWindow:
         escalated = []
         real_bitset = verifier._scan_bitset
 
-        def bitset(p, check_neg):
+        def bitset(p):
             escalated.append(p)
-            return real_bitset(p, check_neg)
+            return real_bitset(p)
 
         # a window of 4 residues ends dry for each of these primes
         monkeypatch.setattr(verifier, "default_cap", lambda p: 4)
@@ -117,7 +112,7 @@ class TestBirthdayWindow:
         assert escalated == list(full)
 
     def test_window_covering_everything_is_conclusive(self, monkeypatch):
-        def bitset(p, check_neg):
+        def bitset(p):
             raise AssertionError("the birthday window of p=5 covers every factorial")
 
         monkeypatch.setattr(verifier, "_scan_bitset", bitset)
@@ -197,7 +192,7 @@ class TestRecheckAgainstFactorials:
 
 
 class TestMidpointIdentities:
-    # the identities licensing the NegHalfHit rule and its restriction
+    # the identities behind the proof that no scan needs a midpoint rule
     def test_half_factorial_squares_to_minus_one_for_1_mod_4(self):
         for p in ODD_PRIMES:
             if p < 5 or p % 4 != 1:
@@ -211,3 +206,12 @@ class TestMidpointIdentities:
                 continue
             h = factorial_mod((p - 1) // 2, p)
             assert h in (1, p - 1), p
+
+    def test_reflection(self):
+        # Wilson's theorem split at k: k! (p-1-k)! == (-1)^(k+1)
+        for p in ODD_PRIMES:
+            fact = [1] * p
+            for k in range(1, p):
+                fact[k] = fact[k - 1] * k % p
+            for k in range(p):
+                assert fact[k] * fact[p - 1 - k] % p == (p - 1 if k % 2 == 0 else 1), (p, k)
