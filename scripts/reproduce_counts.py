@@ -4,16 +4,8 @@
 import argparse
 import time
 
-from socprimes import count_filters
-
-ROWS = (
-    ("examined", "examined"),
-    ("rejected mod 8", "rejected_mod8"),
-    ("rejected (5/p)", "rejected_legendre5"),
-    ("rejected (-23/p)", "rejected_legendre23"),
-    ("rejected cubic", "rejected_cubic"),
-    ("candidates", "candidates"),
-)
+from socprimes import OUTCOMES, count_filters
+from socprimes.cli import LABELS
 
 
 def main() -> None:
@@ -32,8 +24,8 @@ def main() -> None:
 
     width = max(len(f"{limit:,}") for limit in args.limits) + 2
     print(f"{'':<20}" + "".join(f"{limit:>{width},}" for limit, _, _ in results))
-    for label, attr in ROWS:
-        print(f"{label:<20}" + "".join(f"{getattr(fc, attr):>{width},}" for _, fc, _ in results))
+    for name in ("examined", *OUTCOMES):
+        print(f"{LABELS[name]:<20}" + "".join(f"{getattr(fc, name):>{width},}" for _, fc, _ in results))
     print(f"{'seconds':<20}" + "".join(f"{dt:>{width}.2f}" for _, _, dt in results))
 
     limit, fc, _ = results[0]

@@ -5,9 +5,10 @@ The whole run takes a few CPU-hours single-threaded.  It can be killed
 at any point and simply rerun with the same arguments: the checkpoint
 carries the committed high-water mark, the counters and the results
 offset, and the finished results file is byte-identical to what one
-uninterrupted run would have written.  A checkpoint of another range
-than [7, --to), or one its results file does not match, is refused with
-exit 1; a bad argument such as --threads 0 ends with exit 64.
+uninterrupted run would have written.  A resume writes to --out when
+given, else to the checkpoint's results file.  A checkpoint of another
+range than [7, --to), or one its results file does not match, is refused
+with exit 1; a bad argument such as --threads 0 ends with exit 64.
 
     python3 scripts/search_billion.py --threads 4
     python3 scripts/search_billion.py --threads 4   # picks up where it left off
@@ -38,7 +39,7 @@ def progress_line(report) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--to", type=int, default=10**9, help="range end, exclusive (default 10^9)")
-    ap.add_argument("--out", default="billion.jsonl", help="results file (default billion.jsonl)")
+    ap.add_argument("--out", help="results file (default billion.jsonl, or the checkpoint's)")
     ap.add_argument("--checkpoint", default="billion.ckpt",
                     help="checkpoint file; delete it to start over (default billion.ckpt)")
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
@@ -49,15 +50,18 @@ def main() -> int:
                          "thrown away: that per-leg overhead is spread over this many segments")
     args = ap.parse_args()
 
+    def leg():
+        return resume(args.checkpoint, output_path=args.out, threads=args.threads,
+                      stop_after_segments=args.segments_per_leg)
+
     if os.path.exists(args.checkpoint):
         check_resume(args.checkpoint, 7, args.to)
         print(f"resuming from {args.checkpoint}")
-        report = resume(args.checkpoint, threads=args.threads,
-                        stop_after_segments=args.segments_per_leg)
+        report = leg()
     else:
         config = SearchConfig(
             range=PrimeRange(7, args.to),
-            output_path=args.out,
+            output_path=args.out or "billion.jsonl",
             threads=args.threads,
             checkpoint_path=args.checkpoint,
             checkpoint_interval=16,
@@ -67,8 +71,7 @@ def main() -> int:
 
     while not report.complete:
         print(progress_line(report), flush=True)
-        report = resume(args.checkpoint, threads=args.threads,
-                        stop_after_segments=args.segments_per_leg)
+        report = leg()
 
     print(progress_line(report))
     c = report.counters

@@ -33,10 +33,9 @@ from .engine import (
     search,
 )
 from .filters import (
+    OUTCOMES,
     SIX_TERM_CUBIC,
     FilterCounts,
-    FilterOutcome,
-    FilterVerdict,
     count_filters,
     run_pipeline,
     stage_cubic,
@@ -62,11 +61,10 @@ __all__ = [
     "CheckpointError",
     "Counters",
     "FilterCounts",
-    "FilterOutcome",
-    "FilterVerdict",
     "FpHistogram",
     "FpStatistic",
     "HeuristicEstimate",
+    "OUTCOMES",
     "PrimeRange",
     "RangeReport",
     "ScanMode",

@@ -21,14 +21,14 @@ from .analytics import (
     scientific_from_log,
 )
 from .engine import CheckpointError, RangeReport, SearchConfig, check_resume, resume, search
-from .filters import FilterVerdict, count_filters
+from .filters import OUTCOMES, count_filters
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange
 from .verifier import ScanMode, VerdictKind, verify_distinct
 
-__all__ = ["main"]
+__all__ = ["LABELS", "main"]
 
 #: Report label of each counter, keyed by its name in Counters and FilterCounts.
-_LABELS = {
+LABELS = {
     "examined": "examined",
     "rejected_mod8": "rejected mod 8",
     "rejected_legendre5": "rejected (5/p)",
@@ -79,10 +79,10 @@ def _print_report(report: RangeReport) -> None:
     suffix = " (resumed)" if report.resumed else ""
     print(f"search [{report.lo}, {report.hi}) {status} in {report.wall_seconds:.1f}s{suffix}")
     for name, value in report.counters.as_dict().items():
-        print(f"  {_LABELS[name]:<18}{value}")
+        print(f"  {LABELS[name]:<18}{value}")
     print(f"  {'results file':<18}{report.output_path}")
     for p in report.socialist_primes:
-        print(f"!!! SOCIALIST PRIME FOUND: {p} (re-proved by an independent full scan)")
+        print(f"!!! SOCIALIST PRIME FOUND: {p} (re-proved by a second full scan)")
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -139,8 +139,8 @@ def _cmd_filter_counts(args: argparse.Namespace) -> int:
         print(json.dumps(asdict(counts)))
         return 0
     print(f"{'primes examined':<20}{counts.examined}")
-    for name in (v.value for v in FilterVerdict):
-        print(f"{_LABELS[name]:<20}{getattr(counts, name)}")
+    for name in OUTCOMES:
+        print(f"{LABELS[name]:<20}{getattr(counts, name)}")
     print(f"{'stage-1 survivors':<20}{len(counts.stage1_survivors)}")
     print(f"{'stage-2 survivors':<20}{len(counts.stage2_survivors)}")
     if 0 < len(counts.stage1_survivors) <= args.list_limit:

@@ -11,10 +11,14 @@ segments past its stop, so it leaves at most that many still running
 after it returns.
 
 The results file is line-delimited JSON holding one record per prime
-that survived stage 1 of the filter pipeline: cubic rejections carry a
-{y, x} witness, verified candidates a Collision {j, k, residue}
-witness, and any Socialist verdict is re-proved with an independent full
-bitset scan before being written.
+that survived stage 1 of the filter pipeline: cubic rejections carry the
+{y, x} witness the pipeline returns, verified candidates a Collision
+{j, k, residue} witness, and any Socialist verdict is re-proved by a
+second full bitset scan before being written.  That second scan is not
+independent: above p = 4161 the birthday window default_cap(p) cannot
+cover 2! .. (p-1)!, so a Socialist verdict there already comes from the
+bitset scan and the confirmation reruns the same code.  It guards
+against a transient fault, not against a defect in that scan.
 
 A checkpoint is a small JSON document naming the range, the committed
 high-water mark, the counters, and the byte length, record count and
@@ -39,10 +43,10 @@ from collections.abc import Iterator
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import astuple, dataclass, field, fields
 from itertools import count, islice
-from math import isqrt
+from math import isfinite, isqrt
 from typing import TYPE_CHECKING
 
-from .filters import FilterVerdict, run_pipeline
+from .filters import run_pipeline
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange, primes_in_segment, small_primes
 from .verifier import ScanMode, VerdictKind, recheck_witness, verify_distinct
 from .verifier import factorial_mod  # unused; kept bound because perfbench/spans.py wraps engine.factorial_mod
@@ -105,11 +109,11 @@ class Counters:
     """Per-outcome tallies.
 
     examined comes first; every later field names one outcome (a
-    FilterVerdict value or a scan result), so examined always equals the
-    sum of the rest.  neg_half_hits is always 0: no scan reports that
-    outcome (see the verifier module), but the field stays because the
-    checkpoint counters block, search --json and the benchmark's
-    reference counters all carry it.
+    rejection in filters.OUTCOMES or a candidate's scan result), so
+    examined always equals the sum of the rest.  neg_half_hits is always
+    0: no scan reports that outcome (see the verifier module), but the
+    field stays because the checkpoint counters block, search --json and
+    the benchmark's reference counters all carry it.
     """
 
     examined: int = 0
@@ -205,13 +209,11 @@ _base_primes = functools.cache(small_primes)
 
 def _classify(p: int, strict: bool) -> tuple[str, dict | None]:
     """Map one prime to the Counters field it is tallied in and (for stage-1 survivors) a record."""
-    out = run_pipeline(p, strict)
-    v = out.verdict
-    # _value_ is .value without its descriptor, which costs ~0.2 us per examined prime
-    if v is FilterVerdict.REJECTED_CUBIC:
-        return v._value_, {"p": p, "outcome": "RejectedCubic", "witness": {"y": out.y, "x": out.x}}
-    if v is not FilterVerdict.CANDIDATE:
-        return v._value_, None
+    outcome, witness = run_pipeline(p, strict)
+    if witness is not None:
+        return outcome, {"p": p, "outcome": "RejectedCubic", "witness": witness}
+    if outcome != "candidates":
+        return outcome, None
 
     verdict = verify_distinct(p)
     if verdict.kind is VerdictKind.COLLISION:
@@ -316,6 +318,8 @@ def _load_checkpoint(path: str) -> dict:
         raise CheckpointError("checkpoint socialist list does not match its counter and committed range")
     if payload["output_offset"] < 0 or payload["checkpoint_interval"] < 1:
         raise CheckpointError("checkpoint output_offset or checkpoint_interval out of range")
+    if not (isfinite(payload["elapsed"]) and payload["elapsed"] >= 0):
+        raise CheckpointError(f"checkpoint elapsed must be a finite number >= 0, got {payload['elapsed']!r}")
     return payload
 
 

@@ -17,14 +17,15 @@ the conditions below, so each stage only ever discards safely:
   the only dangerous factor shape has exactly one root, forcing
   (1957/p) == -1).
 
-Stage 2 returns the rejecting root and the lifted x so callers can hand
-the collision to independent rechecking.
+A prime's outcome is the name of the counter it is tallied in, one of
+OUTCOMES.  Stage 2 returns the rejecting root and the lifted x, and
+run_pipeline passes them on as the {y, x} witness of a rejected_cubic
+outcome so callers can hand the collision to independent rechecking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .modarith import inv_mod, jacobi, sqrt_mod
 # kept under this name because perfbench/spans.py wraps filters.cubic_roots
@@ -33,8 +34,7 @@ from .primes import PrimeRange, enumerate_primes
 
 __all__ = [
     "SIX_TERM_CUBIC",
-    "FilterVerdict",
-    "FilterOutcome",
+    "OUTCOMES",
     "FilterCounts",
     "stage_mod8",
     "stage_legendre",
@@ -48,30 +48,9 @@ __all__ = [
 #: constant behind stage 2's shortcut.
 SIX_TERM_CUBIC = (-1, 24, 10, 1)
 
-
-class FilterVerdict(Enum):
-    """Pipeline outcome; each value is the name of the counter it is tallied in."""
-
-    REJECTED_MOD8 = "rejected_mod8"
-    REJECTED_LEGENDRE5 = "rejected_legendre5"
-    REJECTED_LEGENDRE23 = "rejected_legendre23"
-    REJECTED_CUBIC = "rejected_cubic"
-    CANDIDATE = "candidates"
-
-
-@dataclass(frozen=True)
-class FilterOutcome:
-    """Pipeline result for one prime.
-
-    For REJECTED_CUBIC, y is the offending cubic root and x the lifted
-    collision seed with (x+5)! == (x-1)! mod p, equivalently
-    x(x+1)...(x+5) == 1.
-    """
-
-    p: int
-    verdict: FilterVerdict
-    y: int | None = None
-    x: int | None = None
+#: Every outcome run_pipeline reports, in stage order: a rejection by
+#: stage 0, 1 (two symbols) or 2, then survival of all three.
+OUTCOMES = ("rejected_mod8", "rejected_legendre5", "rejected_legendre23", "rejected_cubic", "candidates")
 
 
 def stage_mod8(p: int) -> bool:
@@ -79,15 +58,15 @@ def stage_mod8(p: int) -> bool:
     return p % 8 == 5
 
 
-def stage_legendre(p: int) -> FilterVerdict | None:
-    """Stage 1 verdict: None on survival, else which symbol rejected p.
+def stage_legendre(p: int) -> str | None:
+    """Stage 1: None on survival, else the outcome naming the symbol that rejected p.
 
     The 5-test runs first, so a prime failing both is attributed to 5.
     """
     if jacobi(5, p) != -1:
-        return FilterVerdict.REJECTED_LEGENDRE5
+        return "rejected_legendre5"
     if jacobi(-23, p) != 1:
-        return FilterVerdict.REJECTED_LEGENDRE23
+        return "rejected_legendre23"
     return None
 
 
@@ -121,17 +100,23 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     return y, x
 
 
-def run_pipeline(p: int, strict: bool = False) -> FilterOutcome:
-    """Run the stages in cost order for one prime p > 5."""
+def run_pipeline(p: int, strict: bool = False) -> tuple[str, dict | None]:
+    """Run the stages in cost order for one prime p > 5: its outcome and witness.
+
+    The outcome is one of OUTCOMES.  The witness of rejected_cubic is
+    {"y": y, "x": x}: the offending cubic root y and the lifted collision
+    seed x with (x+5)! == (x-1)! mod p, equivalently x(x+1)...(x+5) == 1.
+    Every other outcome has the witness None.
+    """
     if not stage_mod8(p):
-        return FilterOutcome(p, FilterVerdict.REJECTED_MOD8)
+        return "rejected_mod8", None
     legendre = stage_legendre(p)
     if legendre is not None:
-        return FilterOutcome(p, legendre)
+        return legendre, None
     hit = stage_cubic(p, strict)
     if hit is not None:
-        return FilterOutcome(p, FilterVerdict.REJECTED_CUBIC, y=hit[0], x=hit[1])
-    return FilterOutcome(p, FilterVerdict.CANDIDATE)
+        return "rejected_cubic", {"y": hit[0], "x": hit[1]}
+    return "candidates", None
 
 
 @dataclass
@@ -155,7 +140,7 @@ class FilterCounts:
     stage2_survivors: list[int] = field(default_factory=list)
 
     def consistent(self) -> bool:
-        tallied = sum(getattr(self, v.value) for v in FilterVerdict)
+        tallied = sum(getattr(self, name) for name in OUTCOMES)
         return (
             self.examined == tallied
             and len(self.stage1_survivors) == self.rejected_cubic + self.candidates
@@ -164,7 +149,7 @@ class FilterCounts:
 
 
 def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
-    """Tally every pipeline verdict for primes in [lo, hi).
+    """Tally every pipeline outcome for primes in [lo, hi).
 
     The domain starts at 7: lo is clamped up since 2, 3 and 5 are outside
     the p > 5 problem statement.
@@ -172,11 +157,11 @@ def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
     counts = FilterCounts(lo=lo, hi=hi)
     start = max(lo, 7)
     for p in enumerate_primes(PrimeRange(start, max(hi, start))):
-        v = run_pipeline(p, strict).verdict
+        outcome, _ = run_pipeline(p, strict)
         counts.examined += 1
-        setattr(counts, v.value, getattr(counts, v.value) + 1)
-        if v is FilterVerdict.REJECTED_CUBIC or v is FilterVerdict.CANDIDATE:
+        setattr(counts, outcome, getattr(counts, outcome) + 1)
+        if outcome == "rejected_cubic" or outcome == "candidates":
             counts.stage1_survivors.append(p)
-        if v is FilterVerdict.CANDIDATE:
+        if outcome == "candidates":
             counts.stage2_survivors.append(p)
     return counts

@@ -33,7 +33,7 @@ from socprimes.engine import (
     search,
 )
 from socprimes.primes import PrimeRange, small_primes
-from socprimes.verifier import ScanMode, VerdictKind, factorial_mod, recheck_witness, verify_distinct
+from socprimes.verifier import ScanMode, Verdict, VerdictKind, factorial_mod, recheck_witness, verify_distinct
 
 NOT_OBJECTS = ([], [7, 3000], "checkpoint", 7, 7.5, None, True)
 WRONG_TYPES = (None, "7", 7.5, True, [7], {"lo": 7})
@@ -577,6 +577,7 @@ class TestCheckpointValidation:
     @pytest.mark.parametrize("damage", [
         "false-discovery", "negative-counter", "lo-below-domain",
         "repeated-socialist", "socialist-past-high-water",
+        "negative-elapsed", "nan-elapsed", "infinite-elapsed",
     ])
     def test_values_no_search_writes_are_refused(self, tmp_path, damage):
         # each passes the type checks and keeps the counters partitioned
@@ -597,8 +598,11 @@ class TestCheckpointValidation:
             payload["lo"] = payload["completed_through"] = 2
         elif damage == "repeated-socialist":
             claim_socialist([13, 13])
-        else:
+        elif damage == "socialist-past-high-water":
             claim_socialist([payload["completed_through"] + 2])
+        else:
+            payload["elapsed"] = {"negative-elapsed": -1e6, "nan-elapsed": float("nan"),
+                                  "infinite-elapsed": float("inf")}[damage]
         self.rewrite(ckpt, payload)
         files = [Path(ckpt), Path(payload["output_path"])]
         before = [f.read_bytes() for f in files]
@@ -606,6 +610,33 @@ class TestCheckpointValidation:
             resume(ckpt)
         assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
         assert [f.read_bytes() for f in files] == before
+
+
+class TestClassifyGuards:
+    """_classify's checks on the scan, with the scan and the recheck stubbed."""
+
+    def test_collision_failing_its_recheck_is_refused(self, monkeypatch):
+        monkeypatch.setattr(engine, "recheck_witness", lambda p, j, k: False)
+        with pytest.raises(ArithmeticError, match="failed recheck"):
+            engine._classify(13, False)
+
+    def test_confirmed_socialist_verdict(self, monkeypatch):
+        modes = []
+
+        def scan(p, mode=ScanMode.BIRTHDAY):
+            modes.append(mode)
+            return Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1)
+
+        monkeypatch.setattr(engine, "verify_distinct", scan)
+        assert engine._classify(13, False) == ("socialist", {"p": 13, "outcome": "Socialist"})
+        assert modes == [ScanMode.BIRTHDAY, ScanMode.NAIVE_BITSET]
+
+    def test_disagreeing_confirmation_is_refused(self, monkeypatch):
+        verdicts = iter([Verdict(13, VerdictKind.SOCIALIST, scanned_up_to=12),
+                         Verdict(13, VerdictKind.COLLISION, 2, 7, 2, scanned_up_to=7)])
+        monkeypatch.setattr(engine, "verify_distinct", lambda p, mode=ScanMode.BIRTHDAY: next(verdicts))
+        with pytest.raises(ArithmeticError, match="confirmation scan"):
+            engine._classify(13, False)
 
 
 class TestSocialistPath:

@@ -3,10 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import THREE_TERM_CUBIC, cubic_discriminant, eval_mod, naive_primes
+from socprimes import filters
+from socprimes.engine import SearchConfig, search
 from socprimes.filters import (
+    OUTCOMES,
     SIX_TERM_CUBIC,
-    FilterOutcome,
-    FilterVerdict,
     count_filters,
     run_pipeline,
     stage_cubic,
@@ -14,6 +15,7 @@ from socprimes.filters import (
     stage_mod8,
 )
 from socprimes.modarith import jacobi
+from socprimes.primes import PrimeRange
 from socprimes.verifier import recheck_witness
 
 PRIMES_BELOW_10K = naive_primes(10**4)
@@ -48,15 +50,15 @@ class TestStageMod8:
 
 class TestStageLegendre:
     def test_known(self):
-        assert stage_legendre(29) is FilterVerdict.REJECTED_LEGENDRE5
-        assert stage_legendre(37) is FilterVerdict.REJECTED_LEGENDRE23
+        assert stage_legendre(29) == "rejected_legendre5"
+        assert stage_legendre(37) == "rejected_legendre23"
         assert stage_legendre(13) is None
 
     def test_attribution_order(self):
         # a prime failing both symbols is counted against 5
         for p in PRIMES_BELOW_10K:
             if p > 5 and jacobi(5, p) != -1 and jacobi(-23, p) != 1:
-                assert stage_legendre(p) is FilterVerdict.REJECTED_LEGENDRE5
+                assert stage_legendre(p) == "rejected_legendre5"
                 break
         else:
             pytest.fail("no double-failing prime found below 10^4")
@@ -78,13 +80,14 @@ class TestStageCubic:
         for p in naive_primes(2 * 10**4):
             if p < 7:
                 continue
-            out = run_pipeline(p)
-            if out.verdict is FilterVerdict.REJECTED_CUBIC:
+            outcome, witness = run_pipeline(p)
+            if outcome == "rejected_cubic":
                 seen += 1
-                assert six_term_product(out.x, p) == 1, p
-                assert 1 <= out.x <= p - 6, p
-                assert eval_mod(SIX_TERM_CUBIC, out.y, p) == 0, p
-                assert jacobi(4 * out.y + 25, p) != -1, p
+                x, y = witness["x"], witness["y"]
+                assert six_term_product(x, p) == 1, p
+                assert 1 <= x <= p - 6, p
+                assert eval_mod(SIX_TERM_CUBIC, y, p) == 0, p
+                assert jacobi(4 * y + 25, p) != -1, p
         assert seen == 40
 
     def test_witness_is_a_factorial_collision(self):
@@ -110,18 +113,21 @@ class TestStageCubic:
 
 class TestRunPipeline:
     def test_stage_reached(self):
-        assert run_pipeline(7) == FilterOutcome(7, FilterVerdict.REJECTED_MOD8)
-        assert run_pipeline(29) == FilterOutcome(29, FilterVerdict.REJECTED_LEGENDRE5)
-        assert run_pipeline(37) == FilterOutcome(37, FilterVerdict.REJECTED_LEGENDRE23)
-        assert run_pipeline(197) == FilterOutcome(197, FilterVerdict.REJECTED_CUBIC, y=36, x=4)
-        assert run_pipeline(13) == FilterOutcome(13, FilterVerdict.CANDIDATE)
+        got = [run_pipeline(p) for p in (7, 29, 37, 197, 13)]
+        assert got == [
+            ("rejected_mod8", None),
+            ("rejected_legendre5", None),
+            ("rejected_legendre23", None),
+            ("rejected_cubic", {"y": 36, "x": 4}),
+            ("candidates", None),
+        ]
+        assert tuple(outcome for outcome, _ in got) == OUTCOMES
 
     def test_candidates_pass_every_stage(self):
         for p in PRIMES_BELOW_10K:
             if p < 7:
                 continue
-            out = run_pipeline(p)
-            if out.verdict is FilterVerdict.CANDIDATE:
+            if run_pipeline(p)[0] == "candidates":
                 assert p % 8 == 5
                 assert jacobi(5, p) == -1 and jacobi(-23, p) == 1
 
@@ -167,3 +173,49 @@ class TestCountFilters:
         assert whole.examined == left.examined + right.examined
         assert whole.stage1_survivors == left.stage1_survivors + right.stage1_survivors
         assert whole.rejected_cubic == left.rejected_cubic + right.rejected_cubic
+
+
+
+class TestTracedNames:
+    """The stages are looked up on the filters module at call time.
+
+    The benchmark's trace wraps filters.stage_mod8, stage_legendre,
+    stage_cubic and cubic_roots by attribute; a pipeline that bound them
+    early would run unwrapped, and the trace would report no stage time.
+    """
+
+    PRIMES = [p for p in PRIMES_BELOW_10K if p >= 7]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+        for name in ("stage_mod8", "stage_legendre", "stage_cubic", "cubic_roots"):
+            seen = calls[name] = []
+            # p is the first argument of a stage, the second of cubic_roots
+            at = 1 if name == "cubic_roots" else 0
+
+            def counted(*args, _fn=getattr(filters, name), _seen=seen, _at=at):
+                _seen.append(args[_at])
+                return _fn(*args)
+
+            monkeypatch.setattr(filters, name, counted)
+        return calls
+
+    def expected(self):
+        stage1 = [p for p in self.PRIMES if p % 8 == 5 and jacobi(5, p) == -1 and jacobi(-23, p) == 1]
+        return {
+            "stage_mod8": self.PRIMES,
+            "stage_legendre": [p for p in self.PRIMES if p % 8 == 5],
+            "stage_cubic": stage1,
+            "cubic_roots": [p for p in stage1 if jacobi(1957, p) != 1],
+        }
+
+    def test_count_filters_calls_each_stage(self, calls):
+        fc = count_filters(7, 10**4)
+        assert calls == self.expected()
+        assert fc.stage1_survivors == calls["stage_cubic"]
+
+    def test_search_calls_each_stage(self, calls, tmp_path):
+        report = search(SearchConfig(range=PrimeRange(7, 10**4, 1024), output_path=str(tmp_path / "o.jsonl")))
+        assert calls == self.expected()
+        assert report.counters.stage1_survivors == len(calls["stage_cubic"])

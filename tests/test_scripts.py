@@ -92,3 +92,25 @@ def test_search_billion_bad_argument_is_a_usage_error(tmp_path, args):
     assert done.returncode == 64
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["missing", "copy"])
+def test_search_billion_resumes_into_its_out(tmp_path, out):
+    # a checkpoint of billion.jsonl, resumed with --out other.jsonl
+    search(SearchConfig(range=PrimeRange(7, 300000), output_path=str(tmp_path / "one.jsonl"), threads=1))
+    results, other = tmp_path / "billion.jsonl", tmp_path / "other.jsonl"
+    search(SearchConfig(range=PrimeRange(7, 300000, 4096), output_path=str(results),
+                        checkpoint_path=str(tmp_path / "billion.ckpt"), stop_after_segments=2))
+    if out == "copy":
+        other.write_bytes(results.read_bytes())
+    before = results.read_bytes()
+    done = run_script("search_billion.py", "--to", "300000", "--threads", "1", "--out", str(other), cwd=tmp_path)
+    assert results.read_bytes() == before
+    if out == "missing":
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        assert not other.exists()
+    else:
+        assert done.returncode == 0, done.stderr
+        assert other.read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+        assert done.stdout.splitlines()[-1].startswith("done in ")
