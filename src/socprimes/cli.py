@@ -51,9 +51,12 @@ def _default_threads() -> int:
     env = os.environ.get("SOCPRIMES_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValueError(f"SOCPRIMES_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got SOCPRIMES_THREADS={env!r}")
+        return threads
     return os.cpu_count() or 1
 
 

@@ -16,7 +16,20 @@ are fixed, so results never depend on a random seed.
 
 Both powers taken are powers of a linear element, ``y^p`` and
 ``(y+s)^((p-1)/2)``, so they are computed left to right: square, then
-multiply by y + s, which is a shift plus one reduction row.
+multiply by y + s.  The ring elements are packed one coefficient per
+B-bit slot of a Python int (Kronecker substitution), so each square is a
+single integer product ``R * R``.  With n = deg g and every coefficient in
+[0, p), a square's 2n - 1 slots are each a sum of at most n products, so
+they are < n*p^2.  Its n - 1 high slots, each reduced mod p, are folded
+back against precomputed packed rows y^n ... y^(2n-2) mod g, which adds at
+most (n-1)*p^2 to each low slot: < (2n-1)*p^2.  For a 1 bit, y + s (with
+s reduced mod p) multiplies that as ``(R << B) + s*R``, so a slot is
+< (2n-1)*p^3, and the top slot, reduced mod p, is folded against the
+y^n row, adding < p^2 more.  B is the bit length of that last bound,
+(2n-1)*(p-1)^2*p + (p-1)^2, so no slot ever carries into the next; then
+each slot is reduced mod p once and the next step starts again from
+coefficients in [0, p).  B grows with p's bit length and with n, so any
+p works, with no fixed-width assumption.
 """
 
 from __future__ import annotations
@@ -61,28 +74,47 @@ def _poly_gcd_monic(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return a
 
 
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    packed = 0
+    for c in reversed(coeffs):
+        packed = (packed << width) | c
+    return packed
+
+
 def _linear_pow(s: int, e: int, g: Sequence[int], p: int) -> list[int]:
     # (y + s)^e in Z/p[y]/(g) for monic g, as deg g coefficients
     n = len(g) - 1
+    s %= p
+    q = p - 1
+    width = ((2 * n - 1) * q * q * p + q * q).bit_length()
+    mask = (1 << width) - 1
+    low = n * width
+    low_mask = (1 << low) - 1
+    shifts = range(0, low, width)
     row = [-c % p for c in g[:n]]  # y^n == sum row[j] y^j
-    r = [1] + [0] * (n - 1)
+    top_row = _pack(row, width)
+    # (shift of high slot k, packed y^(n+k) mod g) for k = 0 .. n-2
+    folds, r = [], row
+    for shift in shifts[: n - 1]:
+        folds.append((shift, _pack(r, width)))
+        top = r[-1]
+        r = [top * row[0] % p] + [(r[j - 1] + top * row[j]) % p for j in range(1, n)]
+    high_first = shifts[::-1]
+    packed = 1
     for bit in bin(e)[2:]:
-        sq = [0] * (2 * n - 1)
-        for i, a in enumerate(r):
-            if a:
-                for j, b in enumerate(r):
-                    sq[i + j] += a * b
-        for k in range(2 * n - 2, n - 1, -1):
-            c = sq[k] % p
-            if c:
-                for j in range(n):
-                    sq[k - n + j] += c * row[j]
-        r = sq[:n]
+        packed *= packed
+        high = packed >> low
+        packed &= low_mask
+        for shift, row_k in folds:
+            packed += (high >> shift & mask) % p * row_k
         if bit == "1":
-            top = r[-1] % p
-            r = [s * r[0] + top * row[0]] + [r[j - 1] + s * r[j] + top * row[j] for j in range(1, n)]
-        r = [c % p for c in r]
-    return r
+            packed = (packed << width) + s * packed
+            packed = (packed & low_mask) + (packed >> low) % p * top_row
+        reduced = 0
+        for shift in high_first:
+            reduced = (reduced << width) | (packed >> shift & mask) % p
+        packed = reduced
+    return [packed >> shift & mask for shift in shifts]
 
 
 def _split(g: list[int], p: int) -> list[int]:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: trial division, Euler's criterion,
 power-sum evaluation, full-range root scans, the closed-form cubic
-discriminant, a dict-only factorial walk, factorials built from 1.
+discriminant, a dict-only factorial walk, factorials built from 1, ring
+powers on plain coefficient lists.
 The point is an arithmetic path independent of the package's production
 code, so the two can disagree loudly when one is wrong.
 
@@ -105,6 +106,36 @@ def factorials_agree(p: int, j: int, k: int) -> bool:
     for i in range(2, k + 1):
         fk = fk * i % p
     return fj == fk
+
+
+def naive_linear_pow(s: int, e: int, g: Sequence[int], p: int) -> list[int]:
+    """(y + s)^e in Z/p[y]/(g) for monic g, on coefficient lists.
+
+    The schoolbook form of polycong._linear_pow, which packs the same
+    ring elements into big-int slots: a full double-loop square, a row by
+    row reduction against y^n = -(g_0 + ... + g_(n-1) y^(n-1)), and
+    multiplication by y + s as a shift plus one row.
+    """
+    n = len(g) - 1
+    row = [-c % p for c in g[:n]]  # y^n == sum row[j] y^j
+    r = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * n - 1)
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(r):
+                    sq[i + j] += a * b
+        for k in range(2 * n - 2, n - 1, -1):
+            c = sq[k] % p
+            if c:
+                for j in range(n):
+                    sq[k - n + j] += c * row[j]
+        r = sq[:n]
+        if bit == "1":
+            top = r[-1] % p
+            r = [s * r[0] + top * row[0]] + [r[j - 1] + s * r[j] + top * row[j] for j in range(1, n)]
+        r = [c % p for c in r]
+    return r
 
 
 def verdict_tuple(v) -> tuple:

@@ -262,6 +262,16 @@ class TestThreadsEnv:
         assert code == 64
         assert "SOCPRIMES_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_env_not_positive(self, capsys, tmp_path, monkeypatch, env):
+        monkeypatch.setenv("SOCPRIMES_THREADS", env)
+        out = tmp_path / "r.jsonl"
+        code = main(["search", "--from", "7", "--to", "100", "--out", str(out)])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "threads must be >= 1" in err and "SOCPRIMES_THREADS" in err
+        assert not out.exists()
+
     def test_explicit_flag_wins(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SOCPRIMES_THREADS", "soon")
         out = str(tmp_path / "r.jsonl")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,18 +9,23 @@ from conftest import (
     cubic_discriminant,
     euler_symbol,
     factor_parity,
+    naive_linear_pow,
     naive_primes,
     sextic_substitution_check,
 )
-from socprimes.polycong import poly_roots
+from socprimes.polycong import _linear_pow, poly_roots
 
 ODD_PRIMES = [p for p in naive_primes(2000) if p > 2]
+# the packed slot width grows with p's bit length; 2^63 - 25 is the
+# largest prime below PrimeRange's 2^63 ceiling
+LARGE_PRIMES = [999_999_937, 2**31 - 1, 2**61 - 1, 2**63 - 25]
 
 # the two cubics the pipeline is built around, low to high
 SIX_TERM = (-1, 24, 10, 1)
 THREE_TERM = (-1, 2, 3, 1)
 
 odd_primes = st.sampled_from(ODD_PRIMES)
+large_primes = st.sampled_from(LARGE_PRIMES)
 small_coeff = st.integers(-30, 30)
 
 
@@ -100,14 +107,14 @@ class TestCubicRoots:
 
 
 class TestPolyRoots:
-    """poly_roots at every degree from 1 to 7."""
+    """poly_roots at every degree from 1 to 9."""
 
-    @given(st.lists(small_coeff, min_size=1, max_size=7), odd_primes)
+    @given(st.lists(small_coeff, min_size=1, max_size=9), odd_primes)
     def test_matches_brute_force(self, low, p):
         f = (*low, 1)
         assert poly_roots(f, p) == brute_roots(f, p)
 
-    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=7), odd_primes)
+    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=9), odd_primes)
     def test_chosen_roots_with_repeats(self, roots, p):
         f = from_roots(roots)
         assert poly_roots(f, p) == tuple(sorted({r % p for r in roots}))
@@ -142,6 +149,74 @@ class TestPolyRoots:
         assert first == (1, 2, 3, 5, 8, 13, 21)
         for _ in range(3):
             assert poly_roots(f, 1999) == first
+
+
+def is_probable_prime(n):
+    """Miller-Rabin on the first twelve prime bases, exact for n < 2^64."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestLargeModuli:
+    """poly_roots where the coefficients fill up to 63 bits."""
+
+    def test_moduli_are_prime(self):
+        assert all(is_probable_prime(p) for p in LARGE_PRIMES)
+        assert not any(is_probable_prime(n) for n in range(2**63 - 23, 2**63, 2))
+
+    def test_chosen_roots_every_degree(self):
+        rng = random.Random(10)
+        for p in LARGE_PRIMES:
+            for degree in range(1, 10):
+                roots = [rng.randrange(p) for _ in range(degree)]
+                assert poly_roots(from_roots(roots), p) == tuple(sorted(set(roots))), (p, degree)
+
+    @given(large_primes, st.data())
+    def test_chosen_roots_with_repeats(self, p, data):
+        drawn = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=9))
+        repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=9 - len(drawn)))
+        roots = drawn + repeats
+        assert poly_roots(from_roots(roots), p) == tuple(sorted(set(roots)))
+
+
+@st.composite
+def linear_pow_cases(draw):
+    p = draw(odd_primes | large_primes)
+    n = draw(st.integers(1, 9))
+    g = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    # _split passes shifts up to s = p
+    s = draw(st.sampled_from([0, 1, p - 1, p]) | st.integers(0, p))
+    e = draw(st.sampled_from([0, 1, 2, (p - 1) // 2, p]) | st.integers(0, 2 * p))
+    return s, e, g, p
+
+
+class TestLinearPow:
+    """The packed power against the list-based naive_linear_pow."""
+
+    @given(linear_pow_cases())
+    def test_matches_naive(self, case):
+        assert _linear_pow(*case) == naive_linear_pow(*case)
+
+    @pytest.mark.parametrize("degree", range(1, 10))
+    def test_widest_slots(self, degree):
+        # s = p - 1 at the 63-bit prime and a y^n row of all p - 1: the
+        # slot values come closest to the bound the width is set by
+        p = 2**63 - 25
+        g = [1] * degree + [1]
+        for e in (p, (p - 1) // 2, 2**64 - 1):
+            assert _linear_pow(p - 1, e, g, p) == naive_linear_pow(p - 1, e, g, p)
 
 
 class TestFactorParity:
