@@ -12,6 +12,13 @@ roots of one cubic), filters stages the necessary conditions,
 verifier performs full distinctness scans, engine drives checkpointed
 range searches, analytics measures the F(p) distribution and the
 vanishing heuristic, and cli fronts it all.
+
+Importing the package loads every module above except cli, and from the
+standard library only what a one-process run executes; not typing,
+logging or the process pool.  concurrent.futures (and with it
+multiprocessing, threading and logging) loads on the first search with
+more than one worker, multiprocessing on the first fp_histogram with
+jobs > 1, and logging when a search commits a socialist verdict.
 """
 
 from .analytics import (

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .primes import PrimeRange, enumerate_primes
 
@@ -87,12 +86,16 @@ def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_B
 
     Total work is quadratic in limit (each prime costs O(p)), so the
     budget guard is deliberate friction: pass a larger budget to confirm
-    a long scan is intended.
+    a long scan is intended.  jobs > 1 scans in that many processes.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if limit > budget:
         raise ValueError(f"limit {limit} exceeds the histogram budget {budget}; raise budget= to confirm")
     primes = list(enumerate_primes(PrimeRange(5, max(limit, 5))))
     if jobs > 1:
+        from multiprocessing import Pool  # here: it loads threading and more, which jobs=1 never uses
+
         with Pool(jobs) as pool:
             pairs = pool.map(_fp_pair, primes, chunksize=64)
     else:

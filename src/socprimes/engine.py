@@ -8,7 +8,9 @@ range is segmented.  With more than one worker, at most `threads`
 segments are in flight: the next one is submitted as one finishes, and
 a leg stopped by stop_after_segments submits no more than `threads - 1`
 segments past its stop, so it leaves at most that many still running
-after it returns.
+after it returns.  The pool (concurrent.futures, which loads
+multiprocessing, threading and logging) is imported by the first run that
+uses it, so importing this module costs a one-worker run none of that.
 
 The results file is line-delimited JSON holding one record per prime
 that survived stage 1 of the filter pipeline: cubic rejections carry the
@@ -36,23 +38,25 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import os
 import time
 from collections.abc import Iterator
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import astuple, dataclass, field, fields
 from itertools import count, islice
 from math import isfinite, isqrt
-from typing import TYPE_CHECKING
 
 from .filters import run_pipeline
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange, primes_in_segment, small_primes
 from .verifier import ScanMode, VerdictKind, recheck_witness, verify_distinct
 from .verifier import factorial_mod  # unused; kept bound because perfbench/spans.py wraps engine.factorial_mod
 
+# Names only annotations use.  TYPE_CHECKING is defined here, not taken from
+# typing, whose import costs about 5 ms; type checkers read any constant of
+# that name as true.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import hashlib
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "DOMAIN_START",
@@ -65,8 +69,6 @@ __all__ = [
     "resume",
     "check_resume",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Smallest prime the search examines; the problem statement is p > 5.
 DOMAIN_START = 7
@@ -360,7 +362,10 @@ def _commit(state: _RunState, out, counters: Counters, records: list[dict], seg_
     for rec in records:
         if rec["outcome"] == "Socialist":
             state.socialist.append(rec["p"])
-            logger.critical("SOCIALIST PRIME FOUND: p=%d survived a full distinctness scan twice", rec["p"])
+            import logging  # here: logging costs every import, and only this verdict logs
+
+            logging.getLogger(__name__).critical(
+                "SOCIALIST PRIME FOUND: p=%d survived a full distinctness scan twice", rec["p"])
         pieces.append(json.dumps(rec, separators=(",", ":")))
     if pieces:
         data = ("\n".join(pieces) + "\n").encode("ascii")
@@ -379,6 +384,8 @@ def _in_order(pool: ProcessPoolExecutor, args: Iterator[tuple], width: int) -> I
     A segment is submitted as soon as any other finishes; finished ones
     wait in `ready` until every segment before them has been yielded.
     """
+    from concurrent.futures import FIRST_COMPLETED, wait  # loaded by _run already
+
     index = count()
     running = {pool.submit(_segment_task, a): next(index) for a in islice(args, width)}
     ready: dict[int, Future] = {}
@@ -423,6 +430,10 @@ def _run(config: SearchConfig, state: _RunState, out, started: float) -> RangeRe
                 # segments past the stop are computed and thrown away; keep them
                 # to what the other workers are already running when it comes
                 args = islice(args, stop_after + config.threads - 1)
+            # imported here, before the pool forks: it loads multiprocessing,
+            # threading and logging, which a one-worker run never uses
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
                 for result in _in_order(pool, args, config.threads):
                     if handle(result):

@@ -34,7 +34,7 @@ p works, with no fixed-width assumption.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .modarith import inv_mod
 

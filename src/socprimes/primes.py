@@ -6,10 +6,10 @@ O(segment_size + sqrt(hi)) no matter how wide the range is.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
-from typing import Iterator, Sequence
 
 __all__ = ["small_primes", "PrimeRange", "enumerate_primes", "primes_in_segment"]
 

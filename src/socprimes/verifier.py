@@ -141,14 +141,13 @@ def _scan_birthday(p: int, cap: int) -> Verdict | None:
     """Dict-backed scan of at most cap residues; None if the window ends dry."""
     limit = min(p - 1, cap + 1)
     seen: dict[int, int] = {}
-    get = seen.get
+    first = seen.setdefault  # one dict operation per factorial: stores k, or returns the earlier j
     f = 1
     for k in range(2, limit + 1):
         f = f * k % p
-        j = get(f)
-        if j is not None:
+        j = first(f, k)
+        if j != k:
             return Verdict(p, VerdictKind.COLLISION, j, k, f, scanned_up_to=k)
-        seen[f] = k
     if limit >= p - 1:
         return Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1)
     return None

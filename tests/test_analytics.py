@@ -78,6 +78,11 @@ class TestFpHistogram:
     def test_jobs_equivalence(self):
         assert fp_histogram(300) == fp_histogram(300, jobs=2)
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_not_positive(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            fp_histogram(300, jobs=jobs)
+
     def test_empty(self):
         h = fp_histogram(5)
         assert h.counts == {} and h.min_f is None and h.min_f_primes == ()

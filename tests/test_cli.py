@@ -199,6 +199,14 @@ class TestFpStats:
         assert main(["fp-stats", "--max", "20000000"]) == 64
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_not_positive(self, capsys, jobs):
+        # a usage error, as search --threads 0 is, not a silent one-process scan
+        assert main(["fp-stats", "--max", "100", "--jobs", jobs]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "jobs must be >= 1" in captured.err
+
 
 class TestHeuristic:
     def test_single_prime_json(self, capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import hashlib
@@ -274,8 +275,12 @@ class TestCheckpointResume:
         assert payload["output_sha256"] == hashlib.sha256(results).hexdigest()
 
 
-class CountingPool(engine.ProcessPoolExecutor):
-    """The engine's process pool, counting every segment handed to it."""
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
+    """The engine's process pool, counting every segment handed to it.
+
+    The engine looks the pool up on concurrent.futures when a run first
+    needs it, so that is where the tests put this one.
+    """
 
     submitted = 0
 
@@ -286,7 +291,7 @@ class CountingPool(engine.ProcessPoolExecutor):
 
 class TestProcessPool:
     def test_stopped_leg_submits_only_its_window(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(CountingPool, "submitted", 0)
         threads, stop, seg = 2, 3, 512
         rng = PrimeRange(7, 7 + 20 * seg, seg)
