@@ -7,11 +7,11 @@ a range either fails a cheap necessary condition or comes with an
 explicit factorial collision witness.
 
 Layering: modarith and primes are arithmetic bedrock, polycong finds the
-roots mod p of a monic polynomial of any degree (stage 2 asks it for the
-roots of one cubic), filters stages the necessary conditions,
-verifier performs full distinctness scans, engine drives checkpointed
-range searches, analytics measures the F(p) distribution and the
-vanishing heuristic, and cli fronts it all.
+roots mod p of a monic polynomial of any degree, filters stages the
+necessary conditions and owns the p > 5 domain, verifier scans for a
+factorial duplicate (a birthday window, else scan_bitset), engine drives
+checkpointed range searches, analytics measures F(p) and the vanishing
+heuristic, and cli fronts it all.
 
 Importing the package loads every module above except cli, and from the
 standard library only what a one-process run executes; not typing,
@@ -23,7 +23,6 @@ jobs > 1, and logging when a search commits a socialist verdict.
 
 from .analytics import (
     FpHistogram,
-    FpStatistic,
     HeuristicEstimate,
     expected_count,
     expected_count_log,
@@ -49,16 +48,16 @@ from .filters import (
     stage_legendre,
     stage_mod8,
 )
-from .modarith import inv_mod, jacobi, sqrt_mod
+from .modarith import jacobi, sqrt_mod
 from .polycong import poly_roots
 from .primes import PrimeRange, enumerate_primes, small_primes
 from .verifier import (
-    ScanMode,
     Verdict,
     VerdictKind,
     default_cap,
     factorial_mod,
     recheck_witness,
+    scan_bitset,
     verify_distinct,
 )
 
@@ -69,12 +68,10 @@ __all__ = [
     "Counters",
     "FilterCounts",
     "FpHistogram",
-    "FpStatistic",
     "HeuristicEstimate",
     "OUTCOMES",
     "PrimeRange",
     "RangeReport",
-    "ScanMode",
     "SearchConfig",
     "SIX_TERM_CUBIC",
     "Verdict",
@@ -88,12 +85,12 @@ __all__ = [
     "fp_histogram",
     "fp_statistic",
     "heuristic",
-    "inv_mod",
     "jacobi",
     "poly_roots",
     "recheck_witness",
     "resume",
     "run_pipeline",
+    "scan_bitset",
     "search",
     "small_primes",
     "sqrt_mod",

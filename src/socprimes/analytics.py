@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .primes import PrimeRange, enumerate_primes
 
 __all__ = [
-    "FpStatistic",
     "FpHistogram",
     "HeuristicEstimate",
     "fp_statistic",
@@ -41,14 +40,6 @@ DEFAULT_HISTOGRAM_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
-class FpStatistic:
-    """F(p): how many residues mod p are missed by the factorials."""
-
-    p: int
-    f_value: int
-
-
-@dataclass(frozen=True)
 class FpHistogram:
     """F-value counts over all primes in [5, limit)."""
 
@@ -59,11 +50,11 @@ class FpHistogram:
     min_f_primes: tuple[int, ...]
 
 
-def fp_statistic(p: int) -> FpStatistic:
-    """Scan all of 1! .. (p-1)! mod p and count the residues never hit.
+def fp_statistic(p: int) -> int:
+    """F(p): scan all of 1! .. (p-1)! mod p and count the residues never hit.
 
     0 is never a factorial value mod a prime, so it is always among the
-    missing, and socialist means f_value == 2.
+    missing, and socialist means F(p) == 2.
     """
     if p < 2:
         raise ValueError("need p >= 2")
@@ -74,11 +65,7 @@ def fp_statistic(p: int) -> FpStatistic:
     for n in range(1, p):
         f = f * n % p
         table[f] = 1
-    return FpStatistic(p, p - sum(table))
-
-
-def _fp_pair(p: int) -> tuple[int, int]:
-    return p, fp_statistic(p).f_value
+    return p - sum(table)
 
 
 def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_BUDGET) -> FpHistogram:
@@ -97,13 +84,13 @@ def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_B
         from multiprocessing import Pool  # here: it loads threading and more, which jobs=1 never uses
 
         with Pool(jobs) as pool:
-            pairs = pool.map(_fp_pair, primes, chunksize=64)
+            f_values = pool.map(fp_statistic, primes, chunksize=64)
     else:
-        pairs = [_fp_pair(p) for p in primes]
+        f_values = [fp_statistic(p) for p in primes]
 
-    counts: Counter[int] = Counter(f for _p, f in pairs)
+    counts: Counter[int] = Counter(f_values)
     min_f = min(counts) if counts else None
-    min_primes = tuple(p for p, f in pairs if f == min_f) if counts else ()
+    min_primes = tuple(p for p, f in zip(primes, f_values) if f == min_f)
     return FpHistogram(
         limit=limit,
         counts=dict(sorted(counts.items())),
@@ -165,7 +152,8 @@ def expected_count_log(lo: int, hi: int) -> float:
 
     Streaming logsumexp anchored on the first term, which is the largest
     because the per-prime probability is decreasing; -inf for an empty
-    range.
+    range.  The walk stops at the first term that underflows to 0.0 next
+    to the first, as every later term would, so the result is bit-exact.
     """
     if lo < 7:
         raise ValueError("expected counts start at 7; smaller p are settled by inspection")
@@ -177,7 +165,10 @@ def expected_count_log(lo: int, hi: int) -> float:
             first = log_term
             acc = 1.0
         else:
-            acc += math.exp(log_term - first)
+            term = math.exp(log_term - first)
+            if term == 0.0:
+                break
+            acc += term
     if first is None:
         return float("-inf")
     return first + math.log(acc)

@@ -23,7 +23,7 @@ from .analytics import (
 from .engine import CheckpointError, RangeReport, SearchConfig, check_resume, resume, search
 from .filters import OUTCOMES, count_filters
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange
-from .verifier import ScanMode, VerdictKind, verify_distinct
+from .verifier import VerdictKind, verify_distinct
 
 __all__ = ["LABELS", "main"]
 
@@ -124,7 +124,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    verdict = verify_distinct(args.p, ScanMode(args.strategy))
+    verdict = verify_distinct(args.p)
     if args.json:
         print(json.dumps({**asdict(verdict), "kind": verdict.kind.value}))
     else:
@@ -244,8 +244,6 @@ def _build_parser() -> _Parser:
 
     vp = sub.add_parser("verify", help="scan one p for a factorial duplicate")
     vp.add_argument("p", type=int, help="odd number >= 5 to scan")
-    vp.add_argument("--strategy", choices=[m.value for m in ScanMode], default=ScanMode.BIRTHDAY.value,
-                    help="scan strategy (default birthday)")
     vp.add_argument("--json", action="store_true", help="emit the verdict as JSON")
     vp.set_defaults(func=_cmd_verify, parser=vp)
 

@@ -45,9 +45,9 @@ from dataclasses import astuple, dataclass, field, fields
 from itertools import count, islice
 from math import isfinite, isqrt
 
-from .filters import run_pipeline
+from .filters import DOMAIN_START, domain, run_pipeline
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange, primes_in_segment, small_primes
-from .verifier import ScanMode, VerdictKind, recheck_witness, verify_distinct
+from .verifier import VerdictKind, recheck_witness, scan_bitset, verify_distinct
 from .verifier import factorial_mod  # unused; kept bound because perfbench/spans.py wraps engine.factorial_mod
 
 # Names only annotations use.  TYPE_CHECKING is defined here, not taken from
@@ -69,9 +69,6 @@ __all__ = [
     "resume",
     "check_resume",
 ]
-
-#: Smallest prime the search examines; the problem statement is p > 5.
-DOMAIN_START = 7
 
 CHECKPOINT_VERSION = 2
 
@@ -226,7 +223,7 @@ def _classify(p: int, strict: bool) -> tuple[str, dict | None]:
             "outcome": "Collision",
             "witness": {"j": verdict.j, "k": verdict.k, "residue": verdict.residue},
         }
-    confirm = verify_distinct(p, ScanMode.NAIVE_BITSET)
+    confirm = scan_bitset(p)
     if confirm.kind is not VerdictKind.SOCIALIST:
         raise ArithmeticError(f"socialist verdict for p={p} failed its confirmation scan")
     return "socialist", {"p": p, "outcome": "Socialist"}
@@ -462,17 +459,11 @@ def _run(config: SearchConfig, state: _RunState, out, started: float) -> RangeRe
     )
 
 
-def _domain(lo: int, hi: int) -> tuple[int, int]:
-    """The part of [lo, hi) a search covers: lo raised to DOMAIN_START, hi to at least lo."""
-    lo = max(lo, DOMAIN_START)
-    return lo, max(hi, lo)
-
-
 def search(config: SearchConfig) -> RangeReport:
     """Run a fresh search over config.range, overwriting the output file."""
     _validate_config(config)
     started = time.monotonic()
-    lo, hi = _domain(config.range.lo, config.range.hi)
+    lo, hi = domain(config.range.lo, config.range.hi)
     state = _RunState(
         lo=lo,
         hi=hi,
@@ -499,7 +490,7 @@ def check_resume(checkpoint_path: str, lo: int | None = None, hi: int | None = N
     """
     payload = _load_checkpoint(checkpoint_path)
     have = payload["lo"], payload["hi"]
-    want = _domain(have[0] if lo is None else lo, have[1] if hi is None else hi)
+    want = domain(have[0] if lo is None else lo, have[1] if hi is None else hi)
     if want != have:
         raise CheckpointError(f"checkpoint {checkpoint_path} is for the range [{have[0]}, {have[1]}), "
                               f"not [{want[0]}, {want[1]})")

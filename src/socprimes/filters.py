@@ -27,12 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .modarith import inv_mod, jacobi, sqrt_mod
+from .modarith import jacobi, sqrt_mod
 # kept under this name because perfbench/spans.py wraps filters.cubic_roots
 from .polycong import poly_roots as cubic_roots
 from .primes import PrimeRange, enumerate_primes
 
 __all__ = [
+    "DOMAIN_START",
+    "domain",
     "SIX_TERM_CUBIC",
     "OUTCOMES",
     "FilterCounts",
@@ -43,6 +45,9 @@ __all__ = [
     "count_filters",
 ]
 
+#: Smallest prime any stage or search examines; the problem statement is p > 5.
+DOMAIN_START = 7
+
 #: y^3 + 10y^2 + 24y - 1 = y(y+4)(y+6) - 1, low to high, where y = x(x+5)
 #: compresses x(x+1)...(x+5) - 1.  Its discriminant is 1957, the
 #: constant behind stage 2's shortcut.
@@ -51,6 +56,12 @@ SIX_TERM_CUBIC = (-1, 24, 10, 1)
 #: Every outcome run_pipeline reports, in stage order: a rejection by
 #: stage 0, 1 (two symbols) or 2, then survival of all three.
 OUTCOMES = ("rejected_mod8", "rejected_legendre5", "rejected_legendre23", "rejected_cubic", "candidates")
+
+
+def domain(lo: int, hi: int) -> tuple[int, int]:
+    """The part of [lo, hi) the problem covers: lo raised to DOMAIN_START, hi to at least lo."""
+    lo = max(lo, DOMAIN_START)
+    return lo, max(hi, lo)
 
 
 def stage_mod8(p: int) -> bool:
@@ -90,7 +101,7 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
         raise ArithmeticError(f"4y+25 flipped from residue to nonresidue mod {p}")
     # x(x+5) == y with x = (-5 + sqrt(4y+25)) / 2; sqrt_mod's canonical
     # root keeps the witness deterministic
-    x = (s - 5) % p * inv_mod(2, p) % p
+    x = (s - 5) % p * pow(2, -1, p) % p
     prod = 1
     for i in range(6):
         prod = prod * (x + i) % p
@@ -151,12 +162,11 @@ class FilterCounts:
 def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
     """Tally every pipeline outcome for primes in [lo, hi).
 
-    The domain starts at 7: lo is clamped up since 2, 3 and 5 are outside
-    the p > 5 problem statement.
+    The primes walked are those in domain(lo, hi), as in a search; the
+    counts still record the lo and hi asked for.
     """
     counts = FilterCounts(lo=lo, hi=hi)
-    start = max(lo, 7)
-    for p in enumerate_primes(PrimeRange(start, max(hi, start))):
+    for p in enumerate_primes(PrimeRange(*domain(lo, hi))):
         outcome, _ = run_pipeline(p, strict)
         counts.examined += 1
         setattr(counts, outcome, getattr(counts, outcome) + 1)

@@ -1,28 +1,16 @@
-"""Exact modular arithmetic for odd prime moduli.
+"""Quadratic characters and square roots modulo odd primes.
 
 Residues are plain Python ints normalised into ``[0, m)``; the modulus is
 passed explicitly to every operation and never stored alongside a value.
 Quadratic character computations use the Jacobi symbol throughout, evaluated
 by binary quadratic reciprocity.  Square roots use Tonelli-Shanks and return
 a canonical representative so that callers building witnesses from roots are
-deterministic.
+deterministic.  Inverses are the builtin ``pow(a, -1, p)``.
 """
 
 from __future__ import annotations
 
-__all__ = ["inv_mod", "jacobi", "sqrt_mod"]
-
-
-def inv_mod(a: int, p: int) -> int:
-    """Return the multiplicative inverse of ``a`` modulo the prime ``p``.
-
-    Raises ``ValueError`` when ``a`` is congruent to 0, which has no
-    inverse.  For prime ``p`` every other residue is invertible.
-    """
-    a %= p
-    if a == 0:
-        raise ValueError("0 has no inverse")
-    return pow(a, -1, p)
+__all__ = ["jacobi", "sqrt_mod"]
 
 
 def jacobi(a: int, n: int) -> int:
@@ -64,14 +52,15 @@ def sqrt_mod(a: int, p: int) -> int | None:
     Uses Tonelli-Shanks.  The first quadratic nonresidue found by scanning
     ``2, 3, 5, ...`` seeds the loop; for the ``p % 8 == 5`` moduli this
     package feeds it, 2 is always a nonresidue and the scan stops at once.
+    A composite ``p`` that leaves it without a nonresidue, an exponent or
+    a root that squares back to ``a`` raises ``ValueError``.
     """
     a %= p
     if a == 0:
         return 0
-    if p == 2:
-        return a
     if jacobi(a, p) != 1:
         return None
+    not_prime = ValueError(f"sqrt_mod needs a prime modulus; {p} is not prime")
 
     # Write p - 1 = q * 2^s with q odd.
     q = p - 1
@@ -84,24 +73,28 @@ def sqrt_mod(a: int, p: int) -> int | None:
         # p % 4 == 3: direct exponentiation.
         root = pow(a, (p + 1) >> 2, p)
     else:
-        z = 2
-        while jacobi(z, p) != -1:
-            z += 1
+        z = next((z for z in range(2, p) if jacobi(z, p) == -1), None)
+        if z is None:
+            raise not_prime
         c = pow(z, q, p)
         root = pow(a, (q + 1) >> 1, p)
         t = pow(a, q, p)
         m = s
         while t != 1:
-            # Find least i with t^(2^i) == 1; 0 < i < m is guaranteed.
-            i = 0
+            # Find least i with t^(2^i) == 1; 0 < i < m for prime p.
             t2 = t
-            while t2 != 1:
+            for i in range(1, m):
                 t2 = t2 * t2 % p
-                i += 1
+                if t2 == 1:
+                    break
+            else:
+                raise not_prime
             b = pow(c, 1 << (m - i - 1), p)
             root = root * b % p
             c = b * b % p
             t = t * c % p
             m = i
 
+    if root * root % p != a:
+        raise not_prime
     return root if root <= (p - 1) >> 1 else p - root

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .modarith import inv_mod
-
 __all__ = ["poly_roots"]
 
 
@@ -51,7 +49,7 @@ def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int],
     # b nonzero with invertible leading coefficient
     rem = [x % p for x in a]
     db = len(b) - 1
-    inv_lead = inv_mod(b[-1], p)
+    inv_lead = pow(b[-1], -1, p)
     quo = [0] * max(0, len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         coef = rem[i]
@@ -69,7 +67,7 @@ def _poly_gcd_monic(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     while b:
         a, b = b, _poly_divmod(a, b, p)[1]
     if a:
-        inv_lead = inv_mod(a[-1], p)
+        inv_lead = pow(a[-1], -1, p)
         a = [x * inv_lead % p for x in a]
     return a
 

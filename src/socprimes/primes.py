@@ -1,6 +1,7 @@
 """Bulk prime enumeration over 64-bit ranges.
 
-Range enumeration uses a segmented sieve of Eratosthenes so memory stays
+One segmented sieve of Eratosthenes, primes_in_segment, serves both
+small_primes and range enumeration, so memory stays
 O(segment_size + sqrt(hi)) no matter how wide the range is.
 """
 
@@ -15,17 +16,11 @@ __all__ = ["small_primes", "PrimeRange", "enumerate_primes", "primes_in_segment"
 
 DEFAULT_SEGMENT_SIZE = 1 << 16
 
+
 def small_primes(limit: int) -> list[int]:
-    """All primes <= limit by a flat byte sieve. Intended for limit <= ~10^8."""
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return list(compress(range(limit + 1), flags))
+    """All primes <= limit: [2, limit] as one segment, its base primes by recursion."""
+    base = small_primes(isqrt(limit)) if limit >= 4 else []
+    return list(primes_in_segment(2, limit + 1, base))
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ one of +-1 and k! == -h pins no duplicate.  For odd composite n > 9,
 ((n-1)/2)! == 0 (mod n), so every factorial past the midpoint repeats
 that 0 and the lookup fires first; n = 9 collides at k = 4.
 
-Two scan modes share these semantics and must agree event for event.
-Birthday keeps a dict of the residues seen in a window of default_cap(p)
-factorials and escalates to the bitset scan in the astronomically
-unlikely case the window ends without an event.  NaiveBitset allocates a
-p-bit table, so it is never wrong and never escalates, at the price of
-O(p) memory.
+verify_distinct keeps a dict of the residues seen in a window of
+default_cap(p) factorials, the birthday scan, and escalates to
+scan_bitset in the astronomically unlikely case the window ends without
+an event.  scan_bitset allocates a p-bit table, so it always reaches an
+event, at the price of O(p) memory; the two must agree event for event.
 
 recheck_witness confirms a Collision for prime p without the scan: j! ==
 k! exactly when the gap product (j+1)(j+2)...k is 1 mod p, since j! is a
@@ -42,10 +41,10 @@ from math import isqrt
 __all__ = [
     "VerdictKind",
     "Verdict",
-    "ScanMode",
     "default_cap",
     "factorial_mod",
     "verify_distinct",
+    "scan_bitset",
     "recheck_witness",
 ]
 
@@ -53,11 +52,6 @@ __all__ = [
 class VerdictKind(Enum):
     SOCIALIST = "Socialist"
     COLLISION = "Collision"
-
-
-class ScanMode(Enum):
-    BIRTHDAY = "birthday"
-    NAIVE_BITSET = "bitset"
 
 
 @dataclass(frozen=True)
@@ -119,22 +113,22 @@ def recheck_witness(p: int, j: int, k: int) -> bool:
     return f == 1
 
 
-def verify_distinct(p: int, mode: ScanMode = ScanMode.BIRTHDAY) -> Verdict:
+def _check_odd(p: int) -> None:
+    if p < 5 or p & 1 == 0:
+        raise ValueError("scan needs an odd p >= 5")
+
+
+def verify_distinct(p: int) -> Verdict:
     """Scan 2! .. (p-1)! mod p and report the first proven event.
 
     p must be an odd number >= 5 (primality is the caller's business).
-    The verdict is deterministic and the same in either mode: Birthday
-    scans a window of default_cap(p) factorials and, should that window
-    end without an event, silently escalates to the NaiveBitset scan.
-    Raises MemoryError if a bitset scan cannot allocate its p-bit table.
+    A birthday window of default_cap(p) factorials runs first; should it
+    end without an event, the scan silently escalates to scan_bitset.
+    Raises MemoryError if that cannot allocate its p-bit table.
     """
-    if p < 5 or p & 1 == 0:
-        raise ValueError("scan needs an odd p >= 5")
-    if mode is ScanMode.BIRTHDAY:
-        verdict = _scan_birthday(p, default_cap(p))
-        if verdict is not None:
-            return verdict
-    return _scan_bitset(p)
+    _check_odd(p)
+    verdict = _scan_birthday(p, default_cap(p))
+    return verdict if verdict is not None else scan_bitset(p)
 
 
 def _scan_birthday(p: int, cap: int) -> Verdict | None:
@@ -163,8 +157,9 @@ def _first_index_of(p: int, residue: int, below: int) -> int:
     raise AssertionError("collision residue vanished on re-scan")
 
 
-def _scan_bitset(p: int) -> Verdict:
-    """Full scan against a p-bit membership table; always reaches an event."""
+def scan_bitset(p: int) -> Verdict:
+    """verify_distinct's verdict with no window: a p-bit table, so it always reaches an event."""
+    _check_odd(p)
     table = bytearray((p >> 3) + 1)
     f = 1
     for k in range(2, p):

@@ -30,7 +30,7 @@ from socprimes.filters import SIX_TERM_CUBIC, count_filters
 from socprimes.modarith import jacobi
 from socprimes.polycong import poly_roots
 from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange, small_primes
-from socprimes.verifier import ScanMode, factorial_mod, recheck_witness, verify_distinct
+from socprimes.verifier import factorial_mod, recheck_witness, scan_bitset, verify_distinct
 
 SURVIVORS_BELOW_1000 = [13, 173, 197, 277, 317, 397, 653, 853, 877, 997]
 
@@ -175,11 +175,11 @@ def test_checkpoint_resume_at_scale(tmp_path):
 
 
 def test_independent_routes_agree():
-    with criterion("independent routes agree (scan strategies, root solving)"):
+    with criterion("independent routes agree (birthday and bitset scans, root solving)"):
         for p in naive_primes(10**4):
             if p < 5:
                 continue
-            assert verify_distinct(p, ScanMode.BIRTHDAY) == verify_distinct(p, ScanMode.NAIVE_BITSET), p
+            assert verify_distinct(p) == scan_bitset(p), p
 
         for p in naive_primes(2000):
             if p < 3:
@@ -248,8 +248,8 @@ def test_cubic_rejections_carry_collisions(million_run):
 
 def test_fp_floor_and_heuristic():
     with criterion("F(p) floor and the survival heuristic"):
-        assert fp_statistic(5).f_value == 2
-        assert fp_statistic(7).f_value == 3
+        assert fp_statistic(5) == 2
+        assert fp_statistic(7) == 3
         hist = fp_histogram(10**5, jobs=2)
         assert hist.min_f == 2
         assert hist.min_f_primes == (5,)  # no further F = 2 prime below 10^5

@@ -27,10 +27,10 @@ F_BELOW_100 = {
 class TestFpStatistic:
     def test_frozen_values(self):
         for p, f in F_BELOW_100.items():
-            assert fp_statistic(p).f_value == f, p
+            assert fp_statistic(p) == f, p
 
     def test_socialist_means_two(self):
-        assert fp_statistic(5).f_value == 2
+        assert fp_statistic(5) == 2
 
     def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -46,7 +46,7 @@ class TestFpStatistic:
         for n in range(1, p):
             f = f * n % p
             seen.add(f)
-        assert fp_statistic(p).f_value == p - len(seen)
+        assert fp_statistic(p) == p - len(seen)
 
 
 class TestFpHistogram:
@@ -151,6 +151,22 @@ class TestExpectedCount:
         ln = expected_count_log(1000, 100000)
         assert math.isclose(ln / math.log(10), -217.63336555934615, rel_tol=1e-12)
         assert expected_count(1000, 100000) < 1e-200
+
+    def test_stops_once_terms_underflow(self, monkeypatch):
+        drawn = []
+        enumerate_primes = analytics.enumerate_primes
+
+        def counting(rng):
+            for p in enumerate_primes(rng):
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(analytics, "enumerate_primes", counting)
+        ln = expected_count_log(1000, 10**7)
+        # every term from p = 2503 on underflows to 0.0 next to the first
+        assert len(drawn) < 1000
+        assert ln == -501.11934327507424
+        assert expected_count_log(1000, 10**12) == expected_count_log(1000, 10**5) == ln
 
     def test_empty_range(self):
         assert expected_count_log(7, 7) == float("-inf")

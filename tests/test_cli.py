@@ -32,10 +32,6 @@ class TestVerify:
         assert main(["verify", "5"]) == 2
         assert "SOCIALIST" in capsys.readouterr().out
 
-    def test_bitset_strategy(self, capsys):
-        assert main(["verify", "7", "--strategy", "bitset"]) == 0
-        assert capsys.readouterr().out == "p=7: Collision 3! == 6! == 6 (mod 7)\n"
-
     def test_invalid_p(self, capsys):
         assert main(["verify", "4"]) == 64
         assert "error" in capsys.readouterr().err

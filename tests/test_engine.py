@@ -34,7 +34,7 @@ from socprimes.engine import (
     search,
 )
 from socprimes.primes import PrimeRange, small_primes
-from socprimes.verifier import ScanMode, Verdict, VerdictKind, factorial_mod, recheck_witness, verify_distinct
+from socprimes.verifier import Verdict, VerdictKind, factorial_mod, recheck_witness, scan_bitset
 
 NOT_OBJECTS = ([], [7, 3000], "checkpoint", 7, 7.5, None, True)
 WRONG_TYPES = (None, "7", 7.5, True, [7], {"lo": 7})
@@ -626,20 +626,22 @@ class TestClassifyGuards:
             engine._classify(13, False)
 
     def test_confirmed_socialist_verdict(self, monkeypatch):
-        modes = []
+        scans = []
 
-        def scan(p, mode=ScanMode.BIRTHDAY):
-            modes.append(mode)
-            return Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1)
+        def scanner(name):
+            def scan(p):
+                scans.append(name)
+                return Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1)
+            return scan
 
-        monkeypatch.setattr(engine, "verify_distinct", scan)
+        monkeypatch.setattr(engine, "verify_distinct", scanner("verify_distinct"))
+        monkeypatch.setattr(engine, "scan_bitset", scanner("scan_bitset"))
         assert engine._classify(13, False) == ("socialist", {"p": 13, "outcome": "Socialist"})
-        assert modes == [ScanMode.BIRTHDAY, ScanMode.NAIVE_BITSET]
+        assert scans == ["verify_distinct", "scan_bitset"]
 
     def test_disagreeing_confirmation_is_refused(self, monkeypatch):
-        verdicts = iter([Verdict(13, VerdictKind.SOCIALIST, scanned_up_to=12),
-                         Verdict(13, VerdictKind.COLLISION, 2, 7, 2, scanned_up_to=7)])
-        monkeypatch.setattr(engine, "verify_distinct", lambda p, mode=ScanMode.BIRTHDAY: next(verdicts))
+        monkeypatch.setattr(engine, "verify_distinct", lambda p: Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1))
+        monkeypatch.setattr(engine, "scan_bitset", lambda p: Verdict(p, VerdictKind.COLLISION, 2, 7, 2, scanned_up_to=7))
         with pytest.raises(ArithmeticError, match="confirmation scan"):
             engine._classify(13, False)
 
@@ -660,6 +662,6 @@ class TestSocialistPath:
 
     def test_verdict_five_is_socialist_shaped(self):
         # the scan machinery itself must keep recognising the one known case
-        v = verify_distinct(5, ScanMode.NAIVE_BITSET)
+        v = scan_bitset(5)
         assert v.kind is VerdictKind.SOCIALIST
         assert factorial_mod(4, 5) == 4

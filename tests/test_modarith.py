@@ -1,31 +1,20 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import socprimes
 from conftest import euler_symbol, naive_primes
-from socprimes.modarith import inv_mod, jacobi, sqrt_mod
+from socprimes.modarith import jacobi, sqrt_mod
+
+SRC = str(Path(socprimes.__file__).resolve().parents[1])
 
 ODD_PRIMES = [p for p in naive_primes(2000) if p > 2]
 
 odd_primes = st.sampled_from(ODD_PRIMES)
-
-
-class TestInvMod:
-    def test_known(self):
-        assert inv_mod(11, 13) == 6
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            inv_mod(0, 13)
-        with pytest.raises(ValueError):
-            inv_mod(26, 13)
-
-    @given(odd_primes, st.integers(1, 10**9))
-    def test_product_is_one(self, p, a):
-        a = a % p
-        if a == 0:
-            a = 1
-        assert a * inv_mod(a, p) % p == 1
 
 
 class TestJacobi:
@@ -116,3 +105,23 @@ class TestSqrtMod:
                 s = sqrt_mod(a, p)
                 if s is not None:
                     assert s * s % p == a % p
+
+
+#: Odd composite moduli Tonelli-Shanks cannot serve: 9 and 25 have no z
+#: with (z/n) = -1, 21 sends the search for i past m, and the exponent
+#: shortcut for 15 (15 == 3 mod 4) yields 1, which does not square to 4.
+COMPOSITE_CASES = [(4, 9), (2, 25), (4, 21), (4, 15)]
+
+
+class TestSqrtModCompositeModulus:
+    @pytest.mark.parametrize("a, n", COMPOSITE_CASES)
+    def test_refused_by_name(self, a, n):
+        # in a child process with a timeout: a sqrt_mod without the bounds
+        # spins forever on some of these, and must fail rather than hang
+        code = (f"from socprimes.modarith import sqrt_mod\n"
+                f"try:\n    print('root', sqrt_mod({a}, {n}))\n"
+                f"except ValueError as exc:\n    print('ValueError', exc)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": SRC}, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("ValueError") and f" {n} " in done.stdout, done.stdout

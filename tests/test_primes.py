@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from math import isqrt
 
 import pytest
@@ -16,6 +17,16 @@ from socprimes.primes import (
 NAIVE_BELOW_10K = naive_primes(10**4)
 
 
+def flat_sieve(limit: int) -> list[int]:
+    """All primes <= limit by one byte table, independent of the package's sieve."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [n for n in range(limit + 1) if flags[n]]
+
+
 class TestSmallPrimes:
     def test_known(self):
         assert small_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -25,6 +36,19 @@ class TestSmallPrimes:
 
     def test_against_naive(self):
         assert small_primes(9999) == NAIVE_BELOW_10K
+
+    def test_every_limit_below_2000(self):
+        # crosses each prime-square boundary from 4 to 1849, where the
+        # recursion's base must already hold the prime being squared
+        naive = naive_primes(2000)
+        for n in range(-2, 2000):
+            assert small_primes(n) == naive[: bisect_right(naive, n)], n
+
+    def test_around_each_prime_square_below_10_to_6(self):
+        reference = flat_sieve(1000**2 + 1)
+        for q in naive_primes(1000):
+            for n in (q * q - 1, q * q, q * q + 1):
+                assert small_primes(n) == reference[: bisect_right(reference, n)], (q, n)
 
 
 class TestPrimeRange:

@@ -8,18 +8,18 @@ from conftest import factorials_agree, naive_primes, reference_scan, verdict_tup
 from socprimes import verifier
 from socprimes.primes import primes_in_segment, small_primes
 from socprimes.verifier import (
-    ScanMode,
     Verdict,
     VerdictKind,
     default_cap,
     factorial_mod,
     recheck_witness,
+    scan_bitset,
     verify_distinct,
 )
 
 ODD_PRIMES = [p for p in naive_primes(2000) if p > 2]
 
-ALL_MODES = list(ScanMode)
+ALL_SCANS = (verify_distinct, scan_bitset)
 
 
 class TestFactorialMod:
@@ -63,9 +63,10 @@ class TestKnownVerdicts:
         assert (v.j, v.k, v.residue) == (54, 72, 520)
 
     def test_validation(self):
-        for bad in (3, 4, 6, 0, -7):
-            with pytest.raises(ValueError):
-                verify_distinct(bad)
+        for scan in ALL_SCANS:
+            for bad in (3, 4, 6, 0, -7):
+                with pytest.raises(ValueError):
+                    scan(bad)
 
 
 class TestStrategyAgreement:
@@ -74,9 +75,9 @@ class TestStrategyAgreement:
             if p < 5:
                 continue
             want = reference_scan(p)
-            for mode in ALL_MODES:
-                got = verify_distinct(p, mode)
-                assert verdict_tuple(got) == want, (p, mode, got)
+            for scan in ALL_SCANS:
+                got = scan(p)
+                assert verdict_tuple(got) == want, (p, scan.__name__, got)
 
     @given(st.integers(2, 4000))
     def test_odd_composites_agree_with_oracle(self, half_n):
@@ -84,8 +85,8 @@ class TestStrategyAgreement:
         # make cheap extra coverage for the event ordering rules
         n = 2 * half_n + 1
         want = reference_scan(n)
-        for mode in ALL_MODES:
-            assert verdict_tuple(verify_distinct(n, mode)) == want
+        for scan in ALL_SCANS:
+            assert verdict_tuple(scan(n)) == want
 
     def test_reference_midpoint_rule_never_fires(self):
         # the oracle has a midpoint rule the scans lack; it must
@@ -96,17 +97,16 @@ class TestStrategyAgreement:
 
 class TestBirthdayWindow:
     def test_escalation_reaches_the_same_verdict(self, monkeypatch):
-        full = {p: verify_distinct(p, ScanMode.NAIVE_BITSET) for p in (997, 853, 1997)}
+        full = {p: scan_bitset(p) for p in (997, 853, 1997)}
         escalated = []
-        real_bitset = verifier._scan_bitset
 
         def bitset(p):
             escalated.append(p)
-            return real_bitset(p)
+            return scan_bitset(p)
 
         # a window of 4 residues ends dry for each of these primes
         monkeypatch.setattr(verifier, "default_cap", lambda p: 4)
-        monkeypatch.setattr(verifier, "_scan_bitset", bitset)
+        monkeypatch.setattr(verifier, "scan_bitset", bitset)
         for p, want in full.items():
             assert verify_distinct(p) == want, p
         assert escalated == list(full)
@@ -115,7 +115,7 @@ class TestBirthdayWindow:
         def bitset(p):
             raise AssertionError("the birthday window of p=5 covers every factorial")
 
-        monkeypatch.setattr(verifier, "_scan_bitset", bitset)
+        monkeypatch.setattr(verifier, "scan_bitset", bitset)
         assert verify_distinct(5).kind is VerdictKind.SOCIALIST
 
     def test_default_cap(self):
