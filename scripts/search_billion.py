@@ -8,7 +8,8 @@ offset, and the finished results file is byte-identical to what one
 uninterrupted run would have written.  A resume writes to --out when
 given, else to the checkpoint's results file.  A checkpoint of another
 range than [7, --to), or one its results file does not match, is refused
-with exit 1; a bad argument such as --threads 0 ends with exit 64.
+with exit 1, as is a leg whose pool lost a worker (rerun to resume); a
+bad argument such as --threads 0 ends with exit 64.
 
     python3 scripts/search_billion.py --threads 4
     python3 scripts/search_billion.py --threads 4   # picks up where it left off
@@ -19,7 +20,7 @@ import os
 import sys
 import time
 
-from socprimes import CheckpointError, PrimeRange, SearchConfig, resume, search
+from socprimes import PrimeRange, SearchConfig, resume, search
 from socprimes.engine import check_resume
 
 
@@ -86,7 +87,7 @@ def main() -> int:
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except CheckpointError as exc:
+    except RuntimeError as exc:  # CheckpointError, or BrokenProcessPool when a worker dies
         sys.exit(f"error: {exc}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,9 +16,9 @@ heuristic, and cli fronts it all.
 Importing the package loads every module above except cli, and from the
 standard library only what a one-process run executes; not typing,
 logging or the process pool.  concurrent.futures (and with it
-multiprocessing, threading and logging) loads on the first search with
-more than one worker, multiprocessing on the first fp_histogram with
-jobs > 1, and logging when a search commits a socialist verdict.
+multiprocessing, threading and logging) serves both pooled paths: it loads
+on the first search with more than one worker or the first fp_histogram
+with jobs > 1.  logging loads when a search commits a socialist verdict.
 """
 
 from .analytics import (

@@ -73,7 +73,9 @@ def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_B
 
     Total work is quadratic in limit (each prime costs O(p)), so the
     budget guard is deliberate friction: pass a larger budget to confirm
-    a long scan is intended.  jobs > 1 scans in that many processes.
+    a long scan is intended.  jobs > 1 scans in that many processes of a
+    concurrent.futures pool, imported only then (it loads multiprocessing
+    and threading); a worker that dies raises BrokenProcessPool.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -81,10 +83,10 @@ def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_B
         raise ValueError(f"limit {limit} exceeds the histogram budget {budget}; raise budget= to confirm")
     primes = list(enumerate_primes(PrimeRange(5, max(limit, 5))))
     if jobs > 1:
-        from multiprocessing import Pool  # here: it loads threading and more, which jobs=1 never uses
+        from concurrent.futures import ProcessPoolExecutor
 
-        with Pool(jobs) as pool:
-            f_values = pool.map(fp_statistic, primes, chunksize=64)
+        with ProcessPoolExecutor(jobs) as pool:
+            f_values = list(pool.map(fp_statistic, primes, chunksize=64))
     else:
         f_values = [fp_statistic(p) for p in primes]
 

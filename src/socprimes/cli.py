@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 runtime failure, 2 a socialist verdict was
-produced somewhere (that is the headline result, so it gets its own
-code), 64 usage error.
+Exit codes: 0 success, 1 runtime failure (a bad checkpoint, I/O, or a dead
+pool worker, after which a checkpointed rerun resumes), 2 a socialist
+verdict was produced somewhere (that is the headline result, so it gets
+its own code), 64 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .analytics import (
     heuristic,
     scientific_from_log,
 )
-from .engine import CheckpointError, RangeReport, SearchConfig, check_resume, resume, search
+from .engine import RangeReport, SearchConfig, check_resume, resume, search
 from .filters import OUTCOMES, count_filters
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange
 from .verifier import VerdictKind, verify_distinct
@@ -283,7 +284,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 64
-    except (CheckpointError, OSError, MemoryError, ArithmeticError) as exc:
+    # RuntimeError: CheckpointError, or BrokenProcessPool when a worker dies
+    except (RuntimeError, OSError, MemoryError, ArithmeticError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 1
 

@@ -84,23 +84,24 @@ def stage_legendre(p: int) -> str | None:
 def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     """Stage 2: None on survival, else the rejecting root (y, x) pair.
 
+    The first root y, in increasing order, for which sqrt_mod(4y+25, p)
+    is not None is lifted to x.  p must be 3 (mod 4) or 5 (mod 8), as for
+    sqrt_mod; every prime reaching stage 2 is 5 (mod 8).
+
     strict=True skips the (1957/p) == +1 shortcut and always enumerates
     the roots; it can only reject more, never fewer.  The returned x is
     checked here against x(x+1)...(x+5) == 1 before being released.
     """
     if not strict and jacobi(1957, p) == 1:
         return None
-    roots = cubic_roots(SIX_TERM_CUBIC, p)
-    failing = [y for y in roots if jacobi((4 * y + 25) % p, p) != -1]
-    if not failing:
+    for y in cubic_roots(SIX_TERM_CUBIC, p):
+        s = sqrt_mod(4 * y + 25, p)
+        if s is not None:
+            break
+    else:
         return None
-
-    y = failing[0]
-    s = sqrt_mod((4 * y + 25) % p, p)
-    if s is None:
-        raise ArithmeticError(f"4y+25 flipped from residue to nonresidue mod {p}")
-    # x(x+5) == y with x = (-5 + sqrt(4y+25)) / 2; sqrt_mod's canonical
-    # root keeps the witness deterministic
+    # x(x+5) == y with x = (-5 + sqrt(4y+25)) / 2; the smallest liftable
+    # root and sqrt_mod's canonical root keep the witness deterministic
     x = (s - 5) % p * pow(2, -1, p) % p
     prod = 1
     for i in range(6):

@@ -3,8 +3,11 @@
 Residues are plain Python ints normalised into ``[0, m)``; the modulus is
 passed explicitly to every operation and never stored alongside a value.
 Quadratic character computations use the Jacobi symbol throughout, evaluated
-by binary quadratic reciprocity.  Square roots use Tonelli-Shanks and return
-a canonical representative so that callers building witnesses from roots are
+by binary quadratic reciprocity.  Square roots are closed forms, one ``pow``
+each, for primes p == 3 (mod 4) and p == 5 (mod 8): stage 2 takes roots
+only modulo stage-1 survivors, which are 5 (mod 8), and its two
+discriminant primes 19 and 103 are 3 (mod 4).  Roots are returned as a
+canonical representative so that callers building witnesses from them are
 deterministic.  Inverses are the builtin ``pow(a, -1, p)``.
 """
 
@@ -49,52 +52,26 @@ def sqrt_mod(a: int, p: int) -> int | None:
     two roots are ``s`` and ``p - s``; the smaller one, in ``[0, (p-1)/2]``,
     is returned so that downstream witness construction is deterministic.
 
-    Uses Tonelli-Shanks.  The first quadratic nonresidue found by scanning
-    ``2, 3, 5, ...`` seeds the loop; for the ``p % 8 == 5`` moduli this
-    package feeds it, 2 is always a nonresidue and the scan stops at once.
-    A composite ``p`` that leaves it without a nonresidue, an exponent or
-    a root that squares back to ``a`` raises ``ValueError``.
+    Two closed forms, one ``pow`` each, cover the moduli this package
+    feeds it: ``a^((p+1)/4)`` for ``p == 3 (mod 4)``, and Atkin's
+    ``a*v*(2a*v^2 - 1)`` with ``v = (2a)^((p-5)/8)`` for ``p == 5 (mod 8)``
+    (there 2 is a nonresidue, so ``2a*v^2`` is a square root of -1).  A
+    candidate that squares back to ``a`` is the root; otherwise ``a`` must
+    have Jacobi symbol -1, or ``p`` is not prime and ``ValueError`` is
+    raised.  ``p == 1 (mod 8)`` has no such form and is refused with
+    ``ValueError``: nothing here asks for it.
     """
-    a %= p
-    if a == 0:
-        return 0
-    if jacobi(a, p) != 1:
-        return None
-    not_prime = ValueError(f"sqrt_mod needs a prime modulus; {p} is not prime")
-
-    # Write p - 1 = q * 2^s with q odd.
-    q = p - 1
-    s = 0
-    while q & 1 == 0:
-        q >>= 1
-        s += 1
-
-    if s == 1:
-        # p % 4 == 3: direct exponentiation.
+    if p < 3 or p % 8 not in (3, 5, 7):
+        raise ValueError(f"sqrt_mod has no closed form for the modulus {p} "
+                         f"({p % 8} mod 8); it takes p = 3 (mod 4) or 5 (mod 8)")
+    if p % 4 == 3:
         root = pow(a, (p + 1) >> 2, p)
     else:
-        z = next((z for z in range(2, p) if jacobi(z, p) == -1), None)
-        if z is None:
-            raise not_prime
-        c = pow(z, q, p)
-        root = pow(a, (q + 1) >> 1, p)
-        t = pow(a, q, p)
-        m = s
-        while t != 1:
-            # Find least i with t^(2^i) == 1; 0 < i < m for prime p.
-            t2 = t
-            for i in range(1, m):
-                t2 = t2 * t2 % p
-                if t2 == 1:
-                    break
-            else:
-                raise not_prime
-            b = pow(c, 1 << (m - i - 1), p)
-            root = root * b % p
-            c = b * b % p
-            t = t * c % p
-            m = i
-
-    if root * root % p != a:
-        raise not_prime
-    return root if root <= (p - 1) >> 1 else p - root
+        v = pow(2 * a, (p - 5) >> 3, p)
+        root = a * v * (2 * a * v * v - 1) % p
+    a %= p
+    if root * root % p == a:
+        return min(root, p - root)
+    if jacobi(a, p) == -1:
+        return None
+    raise ValueError(f"sqrt_mod needs a prime modulus; {p} is not prime")

@@ -71,9 +71,17 @@ def primes_in_segment(seg_lo: int, seg_hi: int, base: Sequence[int]) -> Iterator
 
 
 def enumerate_primes(rng: PrimeRange) -> Iterator[int]:
-    """Yield the primes in rng in increasing order via a segmented sieve."""
-    if rng.hi <= 2:
-        return
-    base = small_primes(isqrt(rng.hi - 1))
+    """Yield the primes in rng in increasing order via a segmented sieve.
+
+    The base primes grow with the segments, re-sieved to at least twice
+    the old limit (at most sqrt(hi - 1)) when a segment outgrows them: a
+    caller that stops early pays only for the base it used, a full walk
+    at most twice the base work of sieving sqrt(hi - 1) once.
+    """
+    limit, base = 0, []
     for seg_lo, seg_hi in rng.segments():
+        need = isqrt(seg_hi - 1)
+        if need > limit:
+            limit = min(max(need, 2 * limit), isqrt(rng.hi - 1))
+            base = small_primes(limit)
         yield from primes_in_segment(seg_lo, seg_hi, base)

@@ -1,5 +1,9 @@
 import math
+import multiprocessing
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,6 +19,30 @@ from socprimes.analytics import (
     heuristic,
     scientific_from_log,
 )
+
+SRC = str(Path(analytics.__file__).resolve().parents[1])
+
+#: A jobs=2 histogram, then the same through the CLI, each with a worker
+#: that SIGKILLs itself at p = 1009.  The patched fp_statistic lives in
+#: __main__, which the forked workers share, so pickling finds it there.
+DEAD_WORKER = """
+import os, signal, sys
+from socprimes import analytics
+from socprimes.cli import main
+coordinator, scan = os.getpid(), analytics.fp_statistic
+
+def fp_statistic(p):
+    if p == 1009 and os.getpid() != coordinator:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return scan(p)
+
+analytics.fp_statistic = fp_statistic
+try:
+    analytics.fp_histogram(3000, jobs=2)
+except RuntimeError as exc:
+    print(type(exc).__name__, flush=True)
+sys.exit(main(["fp-stats", "--max", "3000", "--jobs", "2"]))
+"""
 
 # F(p) for every prime in [5, 100), checked by hand against a set-based scan
 F_BELOW_100 = {
@@ -77,6 +105,17 @@ class TestFpHistogram:
 
     def test_jobs_equivalence(self):
         assert fp_histogram(300) == fp_histogram(300, jobs=2)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched fp_statistic reaches the workers only through fork")
+    def test_dead_worker_raises_instead_of_hanging(self):
+        # in a child with a timeout: a pool that waits forever for the
+        # chunk a dead worker held must fail here, not hang the suite
+        done = subprocess.run([sys.executable, "-c", DEAD_WORKER], capture_output=True, text=True,
+                              env={"PYTHONPATH": SRC}, timeout=60)
+        assert done.stdout == "BrokenProcessPool\n"
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1, done.stderr
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_not_positive(self, jobs):

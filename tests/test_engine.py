@@ -358,6 +358,34 @@ class TestProcessPool:
         assert resumed.complete and resumed.counters == full.counters
         assert open(part_out, "rb").read() == open(full.output_path, "rb").read()
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched _classify reaches the workers only through fork")
+    def test_dead_worker_exits_one_and_resumes(self, tmp_path, monkeypatch, capsys):
+        seg = 512
+        rng = PrimeRange(7, 7 + 8 * seg, seg)
+        full = run_search(tmp_path, rng.lo, rng.hi, name="full.jsonl", segment_size=seg)
+        seg3 = 7 + 3 * seg
+        victim = next(p for p in small_primes(seg3 + seg) if p >= seg3)
+        coordinator, real_classify = os.getpid(), engine._classify
+
+        def classify(p, strict):
+            if p == victim and os.getpid() != coordinator:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_classify(p, strict)
+
+        monkeypatch.setattr(engine, "_classify", classify)
+        part_out = str(tmp_path / "part.jsonl")
+        argv = ["search", "--from", str(rng.lo), "--to", str(rng.hi), "--segment-size", str(seg),
+                "--threads", "2", "--checkpoint", str(tmp_path / "part.ckpt"),
+                "--checkpoint-interval", "1", "--out", part_out, "--json"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1, err
+
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert open(part_out, "rb").read() == open(full.output_path, "rb").read()
+
 
 KILL_RANGE = PrimeRange(10**8, 10**8 + 32 * 4096, 4096)
 

@@ -1,9 +1,10 @@
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import socprimes
@@ -15,6 +16,11 @@ SRC = str(Path(socprimes.__file__).resolve().parents[1])
 ODD_PRIMES = [p for p in naive_primes(2000) if p > 2]
 
 odd_primes = st.sampled_from(ODD_PRIMES)
+
+#: The primes sqrt_mod has a closed form for: 3 (mod 4) and 5 (mod 8).
+CLOSED_FORM_PRIMES = [p for p in ODD_PRIMES if p % 8 != 1]
+
+closed_form_primes = st.sampled_from(CLOSED_FORM_PRIMES)
 
 
 class TestJacobi:
@@ -69,19 +75,15 @@ class TestSqrtMod:
         assert sqrt_mod(169, 197) == 13
 
     def test_exhaustive_small(self):
-        for p in ODD_PRIMES:
-            if p > 100:
-                break
-            squares = {x * x % p for x in range(p)}
+        # every prime the closed forms serve below 2000, every a, against brute force
+        for p in CLOSED_FORM_PRIMES:
+            roots = {}
+            for x in range((p + 1) // 2):
+                roots.setdefault(x * x % p, x)
             for a in range(p):
-                s = sqrt_mod(a, p)
-                if a in squares:
-                    assert s is not None and s * s % p == a
-                    assert 0 <= s <= (p - 1) // 2, "canonical root is the smaller one"
-                else:
-                    assert s is None
+                assert sqrt_mod(a, p) == roots.get(a), (a, p)
 
-    @given(odd_primes, st.integers(0, 10**9))
+    @given(closed_form_primes, st.integers(0, 10**9))
     def test_roundtrip_and_canonical(self, p, x):
         a = x * x % p
         s = sqrt_mod(a, p)
@@ -89,7 +91,7 @@ class TestSqrtMod:
         assert s * s % p == a
         assert s <= (p - 1) // 2
 
-    @given(odd_primes, st.integers(0, 10**9))
+    @given(closed_form_primes, st.integers(0, 10**9))
     def test_none_only_for_nonresidues(self, p, a):
         s = sqrt_mod(a, p)
         if s is None:
@@ -98,18 +100,45 @@ class TestSqrtMod:
             assert s * s % p == a % p
 
     def test_all_residue_classes_mod_8(self):
-        # Tonelli-Shanks has distinct shapes for p % 4 == 3, p % 8 == 5,
-        # and p % 8 == 1; pin one working prime from each class
-        for p in (19, 29, 41, 97, 1009):
-            for a in range(1, 30):
+        # a^((p+1)/4) serves p == 3 and 7 (mod 8), Atkin's form p == 5;
+        # pin small primes and primes just below 2^61 from each class
+        for p in (19, 23, 29, 2**61 - 45, 2**61 - 1, 2**61 - 259):
+            assert p % 8 != 1
+            for a in range(-5, 30):
                 s = sqrt_mod(a, p)
-                if s is not None:
-                    assert s * s % p == a % p
+                if s is None:
+                    assert euler_symbol(a, p) == -1, (a, p)
+                else:
+                    assert s * s % p == a % p and s <= (p - 1) // 2, (a, p)
+
+    def test_refuses_one_mod_8(self):
+        # no closed form: refused by name, even for a perfect square
+        for p in [17, 41, 97, 1009, 998244353]:
+            with pytest.raises(ValueError, match=f" {p} "):
+                sqrt_mod(4, p)
+
+    @given(st.integers(4, 2500), st.data())
+    def test_composite_modulus_never_lies(self, half, data):
+        # for an odd composite n the closed forms may refuse (ValueError),
+        # but a None means no root exists and a root squares back to a
+        n = 2 * half + 1
+        assume(n % 8 != 1 and any(n % d == 0 for d in range(3, isqrt(n) + 1, 2)))
+        a = data.draw(st.integers(0, n - 1))
+        try:
+            s = sqrt_mod(a, n)
+        except ValueError as exc:
+            assert f" {n} " in str(exc)
+            return
+        if s is None:
+            assert all(x * x % n != a for x in range(n)), (a, n)
+        else:
+            assert s * s % n == a, (a, n)
 
 
-#: Odd composite moduli Tonelli-Shanks cannot serve: 9 and 25 have no z
-#: with (z/n) = -1, 21 sends the search for i past m, and the exponent
-#: shortcut for 15 (15 == 3 mod 4) yields 1, which does not square to 4.
+#: Odd composite moduli sqrt_mod refuses: 9 and 25 are 1 (mod 8), which
+#: has no closed form, and for 21 (5 mod 8) and 15 (3 mod 4) the closed
+#: forms yield 7 and 1, which do not square back to 4.  (A Tonelli-Shanks
+#: without bounds once spun forever on the first three.)
 COMPOSITE_CASES = [(4, 9), (2, 25), (4, 21), (4, 15)]
 
 

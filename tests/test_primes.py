@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import naive_primes
+from socprimes import primes
+from socprimes.analytics import expected_count_log
 from socprimes.primes import (
     DEFAULT_SEGMENT_SIZE,
     PrimeRange,
@@ -108,6 +110,30 @@ class TestEnumeratePrimes:
         got = list(enumerate_primes(PrimeRange(lo, hi)))
         want = [n for n in range(lo, hi) if all(n % d for d in range(2, isqrt(n) + 1))]
         assert got == want and len(got) > 0
+
+    def test_early_stop_sieves_only_the_base_it_used(self, monkeypatch):
+        # expected_count_log(1000, 10^14) draws about 200 primes: its base
+        # must follow the first segment, not sqrt(10^14) = 10^7
+        asked = []
+        sieve = primes.small_primes
+
+        def recording(limit):
+            asked.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(primes, "small_primes", recording)
+        ln = expected_count_log(1000, 10**14)
+        assert 0 < max(asked) <= 2 * isqrt(1000 + DEFAULT_SEGMENT_SIZE)
+        monkeypatch.undo()
+        assert ln == expected_count_log(1000, 10**5)
+
+    @given(st.integers(0, 200), st.integers(10**4, 3 * 10**4), st.integers(8, 56))
+    def test_growing_base_agrees_with_small_primes(self, lo, width, seg):
+        # the first segment needs base primes to at most 15, the last to at
+        # least 99: the base is sieved again at least three times on the way
+        hi = lo + width
+        want = [p for p in small_primes(hi - 1) if p >= lo]
+        assert list(enumerate_primes(PrimeRange(lo, hi, seg))) == want
 
 
 class TestPrimesInSegment:
