@@ -9,7 +9,9 @@ uninterrupted run would have written.  A resume writes to --out when
 given, else to the checkpoint's results file.  A checkpoint of another
 range than [7, --to), or one its results file does not match, is refused
 with exit 1, as is a leg whose pool lost a worker (rerun to resume); a
-bad argument such as --threads 0 ends with exit 64.
+bad argument such as --threads 0, or an --out that is the checkpoint,
+ends with exit 64.  --threads defaults as socprimes search does: to
+SOCPRIMES_THREADS, else the CPU count.
 
     python3 scripts/search_billion.py --threads 4
     python3 scripts/search_billion.py --threads 4   # picks up where it left off
@@ -21,7 +23,7 @@ import sys
 import time
 
 from socprimes import PrimeRange, SearchConfig, resume, search
-from socprimes.engine import check_resume
+from socprimes.cli import _default_threads
 
 
 def progress_line(report) -> str:
@@ -43,27 +45,26 @@ def main() -> int:
     ap.add_argument("--out", help="results file (default billion.jsonl, or the checkpoint's)")
     ap.add_argument("--checkpoint", default="billion.ckpt",
                     help="checkpoint file; delete it to start over (default billion.ckpt)")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker processes (default: CPU count)")
+    ap.add_argument("--threads", type=int,
+                    help="worker processes (default SOCPRIMES_THREADS, else CPU count)")
     ap.add_argument("--segments-per-leg", type=int, default=256,
                     help="segments per leg, i.e. between progress lines (default 256, about 17M "
                          "numbers).  Each leg ends with up to threads - 1 segments computed and "
                          "thrown away: that per-leg overhead is spread over this many segments")
     args = ap.parse_args()
+    threads = args.threads if args.threads is not None else _default_threads()
 
     def leg():
-        return resume(args.checkpoint, output_path=args.out, threads=args.threads,
-                      stop_after_segments=args.segments_per_leg)
+        return resume(args.checkpoint, args.out, threads, args.segments_per_leg, lo=7, hi=args.to)
 
     if os.path.exists(args.checkpoint):
-        check_resume(args.checkpoint, 7, args.to)
         print(f"resuming from {args.checkpoint}")
         report = leg()
     else:
         config = SearchConfig(
             range=PrimeRange(7, args.to),
             output_path=args.out or "billion.jsonl",
-            threads=args.threads,
+            threads=threads,
             checkpoint_path=args.checkpoint,
             checkpoint_interval=16,
             stop_after_segments=args.segments_per_leg,

@@ -73,7 +73,8 @@ def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_B
 
     Total work is quadratic in limit (each prime costs O(p)), so the
     budget guard is deliberate friction: pass a larger budget to confirm
-    a long scan is intended.  jobs > 1 scans in that many processes of a
+    a long scan is intended.  The primes go to the workers in chunks of
+    64, and min(jobs, chunks) workers scan them: more than one runs in a
     concurrent.futures pool, imported only then (it loads multiprocessing
     and threading); a worker that dies raises BrokenProcessPool.
     """
@@ -82,10 +83,11 @@ def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_B
     if limit > budget:
         raise ValueError(f"limit {limit} exceeds the histogram budget {budget}; raise budget= to confirm")
     primes = list(enumerate_primes(PrimeRange(5, max(limit, 5))))
-    if jobs > 1:
+    workers = min(jobs, -(-len(primes) // 64))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(jobs) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             f_values = list(pool.map(fp_statistic, primes, chunksize=64))
     else:
         f_values = [fp_statistic(p) for p in primes]

@@ -21,7 +21,7 @@ from .analytics import (
     heuristic,
     scientific_from_log,
 )
-from .engine import RangeReport, SearchConfig, check_resume, resume, search
+from .engine import RangeReport, SearchConfig, resume, search
 from .filters import OUTCOMES, count_filters
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange
 from .verifier import VerdictKind, verify_distinct
@@ -92,14 +92,9 @@ def _print_report(report: RangeReport) -> None:
 def _cmd_search(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     if args.checkpoint and os.path.exists(args.checkpoint):
-        check_resume(args.checkpoint, args.lo, args.hi, args.strict_cubic,
-                     args.segment_size, args.checkpoint_interval)
-        report = resume(
-            args.checkpoint,
-            output_path=args.out,
-            threads=threads,
-            stop_after_segments=args.stop_after_segments,
-        )
+        report = resume(args.checkpoint, args.out, threads, args.stop_after_segments, lo=args.lo, hi=args.hi,
+                        strict_cubic=args.strict_cubic, segment_size=args.segment_size,
+                        checkpoint_interval=args.checkpoint_interval)
     else:
         if args.lo is None or args.hi is None:
             args.parser.error("--from and --to are required unless resuming from a checkpoint")

@@ -4,11 +4,12 @@ The range is cut into fixed-width segments.  Workers sieve and classify
 their segment independently; the coordinator commits results strictly in
 segment order, so the output stream and every counter are deterministic
 functions of the range alone, independent of thread count and of how the
-range is segmented.  With more than one worker, at most `threads`
-segments are in flight: the next one is submitted as one finishes, and
-a leg stopped by stop_after_segments submits no more than `threads - 1`
-segments past its stop, so it leaves at most that many still running
-after it returns.  The pool (concurrent.futures, which loads
+range is segmented.  A leg runs min(threads, segments it runs) workers,
+where a leg stopped by stop_after_segments runs at most `threads - 1`
+segments past its stop; one worker means no pool.  With more than one,
+at most that many segments are in flight: the next one is submitted as
+one finishes, so a stopped leg leaves at most `threads - 1` still
+running after it returns.  The pool (concurrent.futures, which loads
 multiprocessing, threading and logging) is imported by the first run that
 uses it, so importing this module costs a one-worker run none of that.
 
@@ -22,16 +23,22 @@ cover 2! .. (p-1)!, so a Socialist verdict there already comes from the
 bitset scan and the confirmation reruns the same code.  It guards
 against a transient fault, not against a defect in that scan.
 
-A checkpoint is a small JSON document naming the range, the committed
-high-water mark, the counters, and the byte length, record count and
-sha256 of the results file at commit time.  Writes are atomic (tmp file +
-os.replace).  Resume checks the results file's committed prefix against
-that count and digest and the bytes past the offset against the records
-the run could have written there, then truncates the file back to the
-recorded offset.  So a run killed at any instant restarts cleanly and
-reproduces the exact bytes an uninterrupted run would have produced, and
-a resume pointed at the wrong results file fails instead of adopting it,
-even when the checkpoint committed no record yet.
+A run keeps one record, its RangeReport: search and resume build it, each
+commit updates it, every checkpoint is written from it, and the run
+returns it.  A checkpoint is a small JSON document naming the range, the
+committed high-water mark, the counters, and the byte length, record
+count and sha256 of the results file at commit time.  Writes are atomic
+(tmp file + os.replace), and a results path that is the checkpoint or
+its tmp file is refused before any file is opened.  Resume enforces what
+the checkpoint is for: given the range, strict_cubic or either size, it
+refuses a checkpoint of another search before it opens the results file.
+It then checks the file's committed prefix against that count and digest
+and the bytes past the offset against the records the run could have
+written there, and truncates the file back to the recorded offset.  So a
+run killed at any instant restarts cleanly and reproduces the exact bytes
+an uninterrupted run would have produced, and a resume pointed at the
+wrong results file fails instead of adopting it, even when the checkpoint
+committed no record yet.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import json
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from itertools import count, islice
 from math import isfinite, isqrt
 
@@ -67,7 +74,6 @@ __all__ = [
     "RangeReport",
     "search",
     "resume",
-    "check_resume",
 ]
 
 CHECKPOINT_VERSION = 2
@@ -172,7 +178,14 @@ class SearchConfig:
 
 @dataclass
 class RangeReport:
-    """What one search (or one resumed leg of it) established."""
+    """A search's state while it runs, and what it established once it returns.
+
+    search and resume build it, every committed segment updates it and
+    every checkpoint is written from it.  wall_seconds counts every leg
+    of the search so far; output_offset and output_records are the byte
+    length and record count of the results file's committed prefix,
+    which the checkpoint stores next to its sha256.
+    """
 
     lo: int
     hi: int
@@ -180,8 +193,10 @@ class RangeReport:
     counters: Counters
     socialist_primes: list[int]
     output_path: str
-    wall_seconds: float
+    wall_seconds: float = 0.0
     resumed: bool = False
+    output_offset: int = 0
+    output_records: int = 0
 
     @property
     def complete(self) -> bool:
@@ -189,6 +204,10 @@ class RangeReport:
 
 
 def _validate_config(config: SearchConfig) -> None:
+    if config.checkpoint_path and os.path.realpath(config.output_path) in {
+            os.path.realpath(config.checkpoint_path), os.path.realpath(config.checkpoint_path + ".tmp")}:
+        raise ValueError(f"results file {config.output_path} would overwrite the checkpoint "
+                         f"{config.checkpoint_path} or its .tmp file")
     if config.threads < 1:
         raise ValueError("threads must be >= 1")
     if config.checkpoint_interval < 1:
@@ -246,37 +265,22 @@ def _segment_task(args: tuple) -> tuple[int, Counters, list[dict]]:
 # ----------------------------------------------------------------------
 # coordinator side
 
-@dataclass
-class _RunState:
-    lo: int
-    hi: int
-    counters: Counters
-    completed_through: int
-    socialist: list[int]
-    bytes_written: int
-    prior_elapsed: float
-    resumed: bool = False
-    segments_done_this_run: int = 0
-    records_written: int = 0
-    digest: hashlib._Hash = field(default_factory=_sha256)
-
-
-def _checkpoint_payload(config: SearchConfig, state: _RunState, elapsed: float) -> dict:
+def _checkpoint_payload(config: SearchConfig, report: RangeReport, digest: hashlib._Hash) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
-        "lo": state.lo,
-        "hi": state.hi,
+        "lo": report.lo,
+        "hi": report.hi,
         "segment_size": config.range.segment_size,
         "strict_cubic": config.strict_cubic,
         "checkpoint_interval": config.checkpoint_interval,
-        "completed_through": state.completed_through,
-        "counters": state.counters.as_dict(),
-        "socialist": list(state.socialist),
+        "completed_through": report.completed_through,
+        "counters": report.counters.as_dict(),
+        "socialist": list(report.socialist_primes),
         "output_path": config.output_path,
-        "output_offset": state.bytes_written,
-        "output_records": state.records_written,
-        "output_sha256": state.digest.hexdigest(),
-        "elapsed": state.prior_elapsed + elapsed,
+        "output_offset": report.output_offset,
+        "output_records": report.output_records,
+        "output_sha256": digest.hexdigest(),
+        "elapsed": report.wall_seconds,
     }
 
 
@@ -354,25 +358,25 @@ def _tail_is_ours(fh, lo: int, hi: int) -> bool:
     return True
 
 
-def _commit(state: _RunState, out, counters: Counters, records: list[dict], seg_hi: int) -> None:
+def _commit(report: RangeReport, out, counters: Counters, records: list[dict], seg_hi: int) -> bytes:
+    """Append one segment's records to out and fold it into report; returns the bytes written."""
     pieces = []
     for rec in records:
         if rec["outcome"] == "Socialist":
-            state.socialist.append(rec["p"])
+            report.socialist_primes.append(rec["p"])
             import logging  # here: logging costs every import, and only this verdict logs
 
             logging.getLogger(__name__).critical(
                 "SOCIALIST PRIME FOUND: p=%d survived a full distinctness scan twice", rec["p"])
         pieces.append(json.dumps(rec, separators=(",", ":")))
-    if pieces:
-        data = ("\n".join(pieces) + "\n").encode("ascii")
+    data = ("\n".join(pieces) + "\n").encode("ascii") if pieces else b""
+    if data:
         out.write(data)
-        state.digest.update(data)
-        state.bytes_written += len(data)
-        state.records_written += len(pieces)
-    state.counters.merge(counters)
-    state.completed_through = seg_hi
-    state.segments_done_this_run += 1
+        report.output_offset += len(data)
+        report.output_records += len(pieces)
+    report.counters.merge(counters)
+    report.completed_through = seg_hi
+    return data
 
 
 def _in_order(pool: ProcessPoolExecutor, args: Iterator[tuple], width: int) -> Iterator[tuple]:
@@ -396,43 +400,48 @@ def _in_order(pool: ProcessPoolExecutor, args: Iterator[tuple], width: int) -> I
         yield ready.pop(head).result()
 
 
-def _run(config: SearchConfig, state: _RunState, out, started: float) -> RangeReport:
-    sqrt_limit = isqrt(max(state.hi - 1, 2))
+def _run(config: SearchConfig, report: RangeReport, out, digest: hashlib._Hash, started: float) -> RangeReport:
+    """Run report's search from its completed_through on; digest is the sha256 of out so far."""
+    sqrt_limit = isqrt(max(report.hi - 1, 2))
     _base_primes(sqrt_limit)  # warm before forking so workers inherit it
+    stop_after = config.stop_after_segments
+    size = config.range.segment_size
+    # segments this leg runs: a stopped leg computes past its stop only what
+    # the other workers are already running when it comes, and throws it away
+    segments = -((report.completed_through - report.hi) // size)
+    if stop_after is not None:
+        segments = min(segments, stop_after + config.threads - 1)
+    workers = min(config.threads, segments)
     args = (
         (lo, hi, sqrt_limit, config.strict_cubic)
-        for lo, hi in PrimeRange(state.completed_through, state.hi, config.range.segment_size).segments()
+        for lo, hi in islice(PrimeRange(report.completed_through, report.hi, size).segments(), segments)
     )
-    stop_after = config.stop_after_segments
+    prior_seconds, committed = report.wall_seconds, 0
 
     def handle(result: tuple[int, Counters, list[dict]]) -> bool:
+        nonlocal committed
         seg_hi, counters, records = result
-        _commit(state, out, counters, records, seg_hi)
-        if config.checkpoint_path and state.segments_done_this_run % config.checkpoint_interval == 0:
+        digest.update(_commit(report, out, counters, records, seg_hi))
+        committed += 1
+        if config.checkpoint_path and committed % config.checkpoint_interval == 0:
             out.flush()
             os.fsync(out.fileno())
-            _write_checkpoint(
-                config.checkpoint_path,
-                _checkpoint_payload(config, state, time.monotonic() - started),
-            )
-        return stop_after is not None and state.segments_done_this_run >= stop_after
+            report.wall_seconds = prior_seconds + time.monotonic() - started
+            _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
+        return committed == stop_after
 
     try:
-        if config.threads == 1:
+        if workers <= 1:
             for a in args:
                 if handle(_segment_task(a)):
                     break
         else:
-            if stop_after is not None:
-                # segments past the stop are computed and thrown away; keep them
-                # to what the other workers are already running when it comes
-                args = islice(args, stop_after + config.threads - 1)
             # imported here, before the pool forks: it loads multiprocessing,
             # threading and logging, which a one-worker run never uses
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                for result in _in_order(pool, args, config.threads):
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for result in _in_order(pool, args, workers):
                     if handle(result):
                         pool.shutdown(wait=False, cancel_futures=True)
                         break
@@ -441,22 +450,13 @@ def _run(config: SearchConfig, state: _RunState, out, started: float) -> RangeRe
     finally:
         out.close()
 
-    elapsed = time.monotonic() - started
+    report.wall_seconds = prior_seconds + time.monotonic() - started
     if config.checkpoint_path:
-        _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, state, elapsed))
+        _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
 
-    if not state.counters.partitioned():
+    if not report.counters.partitioned():
         raise RuntimeError("counter partition violated; search state is corrupt")
-    return RangeReport(
-        lo=state.lo,
-        hi=state.hi,
-        completed_through=state.completed_through,
-        counters=state.counters,
-        socialist_primes=list(state.socialist),
-        output_path=config.output_path,
-        wall_seconds=state.prior_elapsed + elapsed,
-        resumed=state.resumed,
-    )
+    return report
 
 
 def search(config: SearchConfig) -> RangeReport:
@@ -464,46 +464,24 @@ def search(config: SearchConfig) -> RangeReport:
     _validate_config(config)
     started = time.monotonic()
     lo, hi = domain(config.range.lo, config.range.hi)
-    state = _RunState(
-        lo=lo,
-        hi=hi,
-        counters=Counters(),
-        completed_through=lo,
-        socialist=[],
-        bytes_written=0,
-        prior_elapsed=0.0,
-    )
-    out = open(config.output_path, "wb")
-    return _run(config, state, out, started)
-
-
-def check_resume(checkpoint_path: str, lo: int | None = None, hi: int | None = None,
-                 strict_cubic: bool = False, segment_size: int | None = None,
-                 checkpoint_interval: int | None = None) -> None:
-    """Raise CheckpointError unless resuming checkpoint_path runs the search asked for.
-
-    lo and hi, where given, must match the checkpoint's range once clamped
-    the way search clamps them (the other end defaults to the checkpoint's);
-    strict_cubic=True needs a checkpoint of a strict search; segment_size
-    and checkpoint_interval, where given, must equal the checkpoint's,
-    since resume takes both from it.  Reads only the checkpoint.
-    """
-    payload = _load_checkpoint(checkpoint_path)
-    have = payload["lo"], payload["hi"]
-    want = domain(have[0] if lo is None else lo, have[1] if hi is None else hi)
-    if want != have:
-        raise CheckpointError(f"checkpoint {checkpoint_path} is for the range [{have[0]}, {have[1]}), "
-                              f"not [{want[0]}, {want[1]})")
-    if strict_cubic and not payload["strict_cubic"]:
-        raise CheckpointError(f"checkpoint {checkpoint_path} is for a search without strict cubic checking")
-    for key, given in (("segment_size", segment_size), ("checkpoint_interval", checkpoint_interval)):
-        if given is not None and given != payload[key]:
-            raise CheckpointError(f"checkpoint {checkpoint_path} has {key} {payload[key]}, not {given}")
+    report = RangeReport(lo=lo, hi=hi, completed_through=lo, counters=Counters(), socialist_primes=[],
+                         output_path=config.output_path)
+    return _run(config, report, open(config.output_path, "wb"), _sha256(), started)
 
 
 def resume(checkpoint_path: str, output_path: str | None = None,
-           threads: int | None = None, stop_after_segments: int | None = None) -> RangeReport:
+           threads: int | None = None, stop_after_segments: int | None = None, *,
+           lo: int | None = None, hi: int | None = None, strict_cubic: bool = False,
+           segment_size: int | None = None, checkpoint_interval: int | None = None) -> RangeReport:
     """Continue a checkpointed search to completion (or the next stop).
+
+    The keyword arguments say which search the caller means, and a
+    checkpoint written for another one raises CheckpointError before any
+    file is opened: lo and hi, where given, must match the checkpoint's
+    range once clamped the way search clamps them (the other end defaults
+    to the checkpoint's); strict_cubic=True needs a checkpoint of a strict
+    search; segment_size and checkpoint_interval, where given, must equal
+    the checkpoint's, since the run takes both from it.
 
     The results file must start with the bytes the checkpoint committed
     (same record count and sha256), and anything past them must look like
@@ -516,6 +494,16 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     """
     payload = _load_checkpoint(checkpoint_path)
     started = time.monotonic()
+    have = payload["lo"], payload["hi"]
+    want = domain(have[0] if lo is None else lo, have[1] if hi is None else hi)
+    if want != have:
+        raise CheckpointError(f"checkpoint {checkpoint_path} is for the range [{have[0]}, {have[1]}), "
+                              f"not [{want[0]}, {want[1]})")
+    if strict_cubic and not payload["strict_cubic"]:
+        raise CheckpointError(f"checkpoint {checkpoint_path} is for a search without strict cubic checking")
+    for key, given in (("segment_size", segment_size), ("checkpoint_interval", checkpoint_interval)):
+        if given is not None and given != payload[key]:
+            raise CheckpointError(f"checkpoint {checkpoint_path} has {key} {payload[key]}, not {given}")
     out_path = output_path or payload["output_path"]
     offset = payload["output_offset"]
     try:
@@ -560,16 +548,7 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     out.seek(offset)
     out.truncate()
 
-    state = _RunState(
-        lo=payload["lo"],
-        hi=payload["hi"],
-        counters=Counters.from_dict(payload["counters"]),
-        completed_through=payload["completed_through"],
-        socialist=payload["socialist"],
-        bytes_written=offset,
-        prior_elapsed=payload["elapsed"],
-        resumed=True,
-        records_written=payload["output_records"],
-        digest=digest,
-    )
-    return _run(config, state, out, started)
+    report = RangeReport(payload["lo"], payload["hi"], payload["completed_through"],
+                         Counters.from_dict(payload["counters"]), payload["socialist"], out_path,
+                         wall_seconds=payload["elapsed"], resumed=True, output_offset=offset, output_records=records)
+    return _run(config, report, out, digest, started)

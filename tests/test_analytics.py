@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 import subprocess
@@ -104,7 +105,22 @@ class TestFpHistogram:
         assert fp_histogram(200, budget=200).primes_scanned == 44
 
     def test_jobs_equivalence(self):
-        assert fp_histogram(300) == fp_histogram(300, jobs=2)
+        # 301 primes, so 5 chunks of 64 and a pool of 2
+        assert fp_histogram(2000) == fp_histogram(2000, jobs=2)
+
+    def test_pool_is_never_bigger_than_its_chunks(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert fp_histogram(300, jobs=4) == fp_histogram(300)  # 60 primes: one chunk, no pool
+        assert sizes == []
+        assert fp_histogram(700, jobs=4) == fp_histogram(700)  # 123 primes: two chunks
+        assert sizes == [2]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched fp_statistic reaches the workers only through fork")

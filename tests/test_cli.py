@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from socprimes import engine
 from socprimes.cli import main
 
 SURVIVORS_BELOW_1000 = [13, 173, 197, 277, 317, 397, 653, 853, 877, 997]
@@ -138,6 +139,34 @@ class TestSearch:
         code, doc = run_json(capsys, base + args + ["--json"])
         assert code == 0 and doc["complete"] and doc["resumed"]
         assert part.read_bytes() == open(full, "rb").read()
+
+    def test_resume_reads_the_checkpoint_once(self, capsys, monkeypatch, stopped):
+        ckpt, part, base = stopped
+        reads, load = [], engine._load_checkpoint
+        monkeypatch.setattr(engine, "_load_checkpoint", lambda path: reads.append(path) or load(path))
+        assert main(base + ["--from", "7", "--to", "9000", "--segment-size", "1024"]) == 0
+        assert reads == [str(ckpt)]
+
+    @pytest.mark.parametrize("suffix", ["", ".tmp"], ids=["checkpoint", "checkpoint-tmp"])
+    def test_results_path_of_the_checkpoint_is_usage_error(self, capsys, tmp_path, suffix):
+        ckpt, out = tmp_path / "r.ckpt", tmp_path / f"r.ckpt{suffix}"
+        if suffix:  # a results file already there
+            assert main(["search", "--from", "7", "--to", "1000", "--out", str(out), "--threads", "1"]) == 0
+        before = sorted((f.name, f.read_bytes()) for f in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["search", "--from", "7", "--to", "300000", "--out", str(out),
+                     "--checkpoint", str(ckpt), "--threads", "1"]) == 64
+        assert "would overwrite the checkpoint" in capsys.readouterr().err
+        assert sorted((f.name, f.read_bytes()) for f in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("suffix", ["", ".tmp"], ids=["checkpoint", "checkpoint-tmp"])
+    def test_resume_into_the_checkpoint_is_usage_error(self, capsys, stopped, suffix):
+        ckpt, part, base = stopped
+        before = ckpt.read_bytes(), part.read_bytes()
+        assert main(["search", "--checkpoint", str(ckpt), "--out", f"{ckpt}{suffix}", "--threads", "1"]) == 64
+        assert "would overwrite the checkpoint" in capsys.readouterr().err
+        assert (ckpt.read_bytes(), part.read_bytes()) == before
+        assert not ckpt.with_name(ckpt.name + ".tmp").exists()
 
     def test_bad_checkpoint_is_runtime_error(self, capsys, tmp_path):
         ckpt = tmp_path / "c.json"

@@ -27,13 +27,13 @@ from socprimes.engine import (
     DOMAIN_START,
     CheckpointError,
     Counters,
+    RangeReport,
     SearchConfig,
     _commit,
-    _RunState,
     resume,
     search,
 )
-from socprimes.primes import PrimeRange, small_primes
+from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange, small_primes
 from socprimes.verifier import Verdict, VerdictKind, factorial_mod, recheck_witness, scan_bitset
 
 NOT_OBJECTS = ([], [7, 3000], "checkpoint", 7, 7.5, None, True)
@@ -166,6 +166,21 @@ class TestConfigValidation:
             search(SearchConfig(rng, out, stop_after_segments=0,
                                 checkpoint_path=str(tmp_path / "c.json")))
 
+    @pytest.mark.parametrize("target", ["checkpoint", "tmp", "symlink"])
+    def test_results_path_of_the_checkpoint_is_refused(self, tmp_path, target):
+        ckpt, payload = make_checkpoint(tmp_path)
+        out = {"checkpoint": ckpt, "tmp": ckpt + ".tmp", "symlink": str(tmp_path / "link")}[target]
+        if target == "symlink":
+            os.symlink(ckpt, out)
+        files = [Path(ckpt), Path(payload["output_path"])]
+        before = [f.read_bytes() for f in files]
+        with pytest.raises(ValueError, match="would overwrite the checkpoint"):
+            resume(ckpt, output_path=out)
+        with pytest.raises(ValueError, match="would overwrite the checkpoint"):
+            search(SearchConfig(PrimeRange(7, 3000), out, checkpoint_path=ckpt))
+        assert [f.read_bytes() for f in files] == before
+        assert not os.path.exists(ckpt + ".tmp")
+
 
 class TestCheckpointResume:
     def full_and_stopped(self, tmp_path, threads_resume=1):
@@ -276,13 +291,19 @@ class TestCheckpointResume:
 
 
 class CountingPool(concurrent.futures.ProcessPoolExecutor):
-    """The engine's process pool, counting every segment handed to it.
+    """The engine's process pool, recording its size and counting every segment handed to it.
 
     The engine looks the pool up on concurrent.futures when a run first
-    needs it, so that is where the tests put this one.
+    needs it, so that is where the tests put this one.  A pool never
+    starts more processes than its max_workers.
     """
 
     submitted = 0
+    sizes: list[int] = []
+
+    def __init__(self, max_workers=None, *args, **kwargs):
+        CountingPool.sizes.append(max_workers)
+        super().__init__(max_workers, *args, **kwargs)
 
     def submit(self, *args, **kwargs):
         CountingPool.submitted += 1
@@ -309,6 +330,21 @@ class TestProcessPool:
         assert CountingPool.submitted == 20 - stop
         assert resumed.complete and resumed.counters == full.counters
         assert open(resumed.output_path, "rb").read() == open(full.output_path, "rb").read()
+
+    def test_pool_is_never_bigger_than_its_work(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(CountingPool, "sizes", [])
+        one = run_search(tmp_path, 7, 10**5, name="one.jsonl", segment_size=DEFAULT_SEGMENT_SIZE)
+        eight = run_search(tmp_path, 7, 10**5, name="eight.jsonl", segment_size=DEFAULT_SEGMENT_SIZE, threads=8)
+        assert CountingPool.sizes == [2]  # two segments, so two workers
+        assert open(eight.output_path, "rb").read() == open(one.output_path, "rb").read()
+
+        run_search(tmp_path, 7, 1000, name="single.jsonl", threads=4)
+        ckpt = str(tmp_path / "last.ckpt")
+        search(SearchConfig(range=PrimeRange(7, 7 + 4 * 512, 512), output_path=str(tmp_path / "last.jsonl"),
+                            checkpoint_path=ckpt, stop_after_segments=3))
+        assert resume(ckpt, threads=2).complete  # one segment left
+        assert CountingPool.sizes == [2]  # neither one-segment leg built a pool
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched _classify reaches the workers only through fork")
@@ -534,6 +570,55 @@ class TestCheckpointValidation:
         assert main(["search", "--checkpoint", ckpt, "--out", str(other), "--threads", "1"]) == 1
         assert other.read_bytes() == before
 
+    @pytest.mark.parametrize("given", [
+        {"lo": 7, "hi": 50000},
+        {"hi": 50000},
+        {"lo": 8},
+        {"lo": 2, "hi": 2999},
+        {"strict_cubic": True},
+        {"segment_size": 1024},
+        {"checkpoint_interval": 2},
+    ], ids=["range", "hi", "lo", "clamped-lo-other-hi", "strict", "segment-size", "checkpoint-interval"])
+    def test_resume_refuses_another_search(self, tmp_path, given):
+        ckpt, payload = make_checkpoint(tmp_path)
+        files = [Path(ckpt), Path(payload["output_path"])]
+        before = [f.read_bytes() for f in files]
+        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ (is for|has) "):
+            resume(ckpt, **given)
+        # refused before any file is opened: a results file named here is not created
+        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ (is for|has) "):
+            resume(ckpt, output_path=str(tmp_path / "new.jsonl"), **given)
+        assert not (tmp_path / "new.jsonl").exists()
+        assert [f.read_bytes() for f in files] == before
+
+    def test_resume_accepts_the_search_it_was_written_for(self, tmp_path):
+        full = run_search(tmp_path, 7, 3000, name="full.jsonl", segment_size=512)
+        ckpt, payload = make_checkpoint(tmp_path)
+        report = resume(ckpt, lo=2, hi=3000, strict_cubic=False, segment_size=512, checkpoint_interval=1)
+        assert report.complete and report.resumed and report.counters == full.counters
+        assert open(payload["output_path"], "rb").read() == open(full.output_path, "rb").read()
+
+    def test_checkpoint_written_key_by_key_resumes(self, tmp_path):
+        # built key by key as _checkpoint_payload wrote them while a separate
+        # run state, not RangeReport, carried the results-file figures
+        seg = 512
+        full = run_search(tmp_path, 7, 7 + 8 * seg, name="full.jsonl", segment_size=seg)
+        head = run_search(tmp_path, 7, 7 + 3 * seg, name="part.jsonl", segment_size=seg)
+        data = open(head.output_path, "rb").read()
+        payload = {
+            "version": 2, "lo": 7, "hi": full.hi, "segment_size": seg, "strict_cubic": False,
+            "checkpoint_interval": 16, "completed_through": head.hi, "counters": head.counters.as_dict(),
+            "socialist": [], "output_path": head.output_path, "output_offset": len(data),
+            "output_records": data.count(b"\n"), "output_sha256": hashlib.sha256(data).hexdigest(),
+            "elapsed": 1.5,
+        }
+        ckpt = tmp_path / "old.ckpt"
+        self.rewrite(ckpt, payload)
+        resumed = resume(str(ckpt), threads=2)
+        assert resumed.complete and resumed.counters == full.counters and resumed.wall_seconds >= 1.5
+        assert open(head.output_path, "rb").read() == open(full.output_path, "rb").read()
+        assert list(json.loads(ckpt.read_text())) == list(payload)
+
     def test_version_1_checkpoint_is_refused(self, tmp_path):
         # version 1 carried no record count or digest for its results file
         ckpt, payload = make_checkpoint(tmp_path)
@@ -676,17 +761,18 @@ class TestClassifyGuards:
 
 class TestSocialistPath:
     def test_commit_logs_and_tracks(self, caplog):
-        state = _RunState(lo=7, hi=100, counters=Counters(), completed_through=7,
-                          socialist=[], bytes_written=0, prior_elapsed=0.0)
+        report = RangeReport(lo=7, hi=100, completed_through=7, counters=Counters(),
+                             socialist_primes=[], output_path="out.jsonl")
         out = io.BytesIO()
         record = {"p": 5, "outcome": "Socialist"}
         with caplog.at_level(logging.CRITICAL, logger="socprimes.engine"):
-            _commit(state, out, Counters(examined=1, socialist=1), [record], seg_hi=100)
-        assert state.socialist == [5]
+            written = _commit(report, out, Counters(examined=1, socialist=1), [record], seg_hi=100)
+        assert report.socialist_primes == [5]
         assert "SOCIALIST" in caplog.text
         assert json.loads(out.getvalue().decode("ascii")) == record
-        assert state.bytes_written == len(out.getvalue())
-        assert state.counters.socialist == 1
+        assert written == out.getvalue()
+        assert (report.output_offset, report.output_records) == (len(written), 1)
+        assert report.counters.socialist == 1 and report.completed_through == 100
 
     def test_verdict_five_is_socialist_shaped(self):
         # the scan machinery itself must keep recognising the one known case

@@ -40,7 +40,7 @@ with tempfile.TemporaryDirectory() as tmp:
         with open(path, "rb") as fh:
             outputs.append(fh.read())
 assert outputs[0] and outputs[0] == outputs[1], "threads=2 wrote other bytes than threads=1"
-assert fp_histogram(300, jobs=2) == fp_histogram(300), "jobs=2 histogram differs"
+assert fp_histogram(2000, jobs=2) == fp_histogram(2000), "jobs=2 histogram differs"
 # concurrent.futures serves both pooled paths; multiprocessing.Pool serves none
 assert "concurrent.futures.process" in sys.modules and "multiprocessing.pool" not in sys.modules
 print("ok")

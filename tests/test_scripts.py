@@ -33,10 +33,11 @@ STRICT_ROWS_1000_100000 = [
 ]
 
 
-def run_script(name, *args, cwd=None):
+def run_script(name, *args, cwd=None, env=()):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300)
+                          env={**os.environ, **dict(env), "PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=300)
 
 
 def reproduce_counts_rows(*flags):
@@ -85,10 +86,16 @@ def test_search_billion_refuses_a_checkpoint_it_cannot_resume(tmp_path, damage):
     assert [(tmp_path / name).read_bytes() for name in ("billion.jsonl", "billion.ckpt")] == before
 
 
-@pytest.mark.parametrize("args", [("--to", "5"), ("--threads", "0"), ("--segments-per-leg", "0")],
-                         ids=["empty-range", "no-threads", "no-segments"])
-def test_search_billion_bad_argument_is_a_usage_error(tmp_path, args):
-    done = run_script("search_billion.py", *args, cwd=tmp_path)
+@pytest.mark.parametrize("args, env", [
+    (("--to", "5"), ()),
+    (("--threads", "0"), ()),
+    (("--segments-per-leg", "0"), ()),
+    (("--out", "billion.ckpt"), ()),
+    ((), {"SOCPRIMES_THREADS": "0"}),
+    ((), {"SOCPRIMES_THREADS": "two"}),
+], ids=["empty-range", "no-threads", "no-segments", "out-is-checkpoint", "env-no-threads", "env-not-a-number"])
+def test_search_billion_bad_argument_is_a_usage_error(tmp_path, args, env):
+    done = run_script("search_billion.py", *args, cwd=tmp_path, env=env)
     assert done.returncode == 64
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
     assert list(tmp_path.iterdir()) == []
