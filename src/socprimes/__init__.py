@@ -24,7 +24,6 @@ with jobs > 1.  logging loads when a search commits a socialist verdict.
 from .analytics import (
     FpHistogram,
     HeuristicEstimate,
-    expected_count,
     expected_count_log,
     fp_histogram,
     fp_statistic,
@@ -79,7 +78,6 @@ __all__ = [
     "count_filters",
     "default_cap",
     "enumerate_primes",
-    "expected_count",
     "expected_count_log",
     "factorial_mod",
     "fp_histogram",

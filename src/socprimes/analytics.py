@@ -9,7 +9,8 @@ discovery.
 The heuristic treats the roughly (p-3)(p-4)/2 factorial pairs that no
 classical identity forces apart as independent uniform values, giving
 survival probability (1 - 1/p)^((p-3)(p-4)/2), asymptotically e^((7-p)/2).
-Everything is carried in log space; the exponents are exact integers.
+Every value is a logarithm: as a float the probability is subnormal from
+p = 1425 and 0.0 from p = 1497, well inside the range a search covers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "fp_statistic",
     "fp_histogram",
     "heuristic",
-    "expected_count",
     "expected_count_log",
     "scientific_from_log",
 ]
@@ -106,29 +106,16 @@ def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_B
 
 @dataclass(frozen=True)
 class HeuristicEstimate:
-    """Survival probability for one p, held as logs to dodge underflow.
+    """Survival probability for one p, held only as logs (see the module notes).
 
     log_exact is ln of (1 - 1/p)^((p-3)(p-4)/2); limit_exponent is the
-    exact integer (7-p)/2 from the asymptotic form e^((7-p)/2).
+    exact integer (7-p)/2 from the asymptotic form e^((7-p)/2).  As floats
+    both are subnormal from p = 1425, and the first is 0.0 from p = 1497.
     """
 
     p: int
     log_exact: float
     limit_exponent: int
-
-    @property
-    def exact(self) -> float:
-        return math.exp(self.log_exact)
-
-    @property
-    def limit_form(self) -> float:
-        return math.exp(self.limit_exponent)
-
-    def exact_scientific(self) -> tuple[float, int]:
-        return scientific_from_log(self.log_exact)
-
-    def limit_scientific(self) -> tuple[float, int]:
-        return scientific_from_log(float(self.limit_exponent))
 
 
 def scientific_from_log(ln_x: float) -> tuple[float, int]:
@@ -177,7 +164,3 @@ def expected_count_log(lo: int, hi: int) -> float:
         return float("-inf")
     return first + math.log(acc)
 
-
-def expected_count(lo: int, hi: int) -> float:
-    """Expected number of socialist primes in [lo, hi) under the model."""
-    return math.exp(expected_count_log(lo, hi))

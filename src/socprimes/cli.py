@@ -142,7 +142,7 @@ def _cmd_filter_counts(args: argparse.Namespace) -> int:
         print(f"{LABELS[name]:<20}{getattr(counts, name)}")
     print(f"{'stage-1 survivors':<20}{len(counts.stage1_survivors)}")
     print(f"{'stage-2 survivors':<20}{len(counts.stage2_survivors)}")
-    if 0 < len(counts.stage1_survivors) <= args.list_limit:
+    if 0 < len(counts.stage1_survivors) <= 200:  # longer lists only in --json
         print("stage-1 survivors:", " ".join(str(p) for p in counts.stage1_survivors))
     return 0
 
@@ -172,14 +172,22 @@ def _cmd_fp_stats(args: argparse.Namespace) -> int:
     return 2 if alarm else 0
 
 
+def _scientific(ln_x: float) -> str:
+    """e^ln_x as text, the mantissa rounded to three decimals and kept below 10."""
+    m, e10 = scientific_from_log(ln_x)
+    if round(m, 3) >= 10:
+        m, e10 = m / 10, e10 + 1
+    return f"{m:.3f}e{e10}"
+
+
 def _cmd_heuristic(args: argparse.Namespace) -> int:
     if args.p is not None and (args.lo is not None or args.hi is not None):
         args.parser.error("give either --p or --from/--to, not both")
     if args.p is not None:
         est = heuristic(args.p)
         if args.json:
-            em, ee = est.exact_scientific()
-            lm, le = est.limit_scientific()
+            em, ee = scientific_from_log(est.log_exact)
+            lm, le = scientific_from_log(est.limit_exponent)
             print(json.dumps({
                 "p": est.p,
                 "log_exact": est.log_exact,
@@ -188,28 +196,23 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
                 "limit": {"mantissa": lm, "exp10": le},
             }))
         else:
-            em, ee = est.exact_scientific()
-            lm, le = est.limit_scientific()
             print(
-                f"p={est.p}: exact {em:.3f}e{ee} (ln = {est.log_exact:.4f}), "
-                f"limit e^{est.limit_exponent} = {lm:.3f}e{le}"
+                f"p={est.p}: exact {_scientific(est.log_exact)} (ln = {est.log_exact:.4f}), "
+                f"limit e^{est.limit_exponent} = {_scientific(est.limit_exponent)}"
             )
         return 0
     if args.lo is None or args.hi is None:
         args.parser.error("need --p, or both --from and --to")
     log_sum = expected_count_log(args.lo, args.hi)
+    empty = log_sum == float("-inf")
     if args.json:
-        if log_sum == float("-inf"):
-            print(json.dumps({"lo": args.lo, "hi": args.hi, "log_expected": None, "expected": {"mantissa": 0.0, "exp10": 0}}))
-        else:
-            m, e = scientific_from_log(log_sum)
-            print(json.dumps({"lo": args.lo, "hi": args.hi, "log_expected": log_sum, "expected": {"mantissa": m, "exp10": e}}))
+        m, e = (0.0, 0) if empty else scientific_from_log(log_sum)
+        print(json.dumps({"lo": args.lo, "hi": args.hi, "log_expected": None if empty else log_sum,
+                          "expected": {"mantissa": m, "exp10": e}}))
+    elif empty:
+        print(f"expected socialist primes in [{args.lo}, {args.hi}): 0 (empty range)")
     else:
-        if log_sum == float("-inf"):
-            print(f"expected socialist primes in [{args.lo}, {args.hi}): 0 (empty range)")
-        else:
-            m, e = scientific_from_log(log_sum)
-            print(f"expected socialist primes in [{args.lo}, {args.hi}): {m:.3f}e{e} (ln = {log_sum:.4f})")
+        print(f"expected socialist primes in [{args.lo}, {args.hi}): {_scientific(log_sum)} (ln = {log_sum:.4f})")
     return 0
 
 
@@ -248,8 +251,6 @@ def _build_parser() -> _Parser:
     fp.add_argument("--to", dest="hi", type=int, required=True, metavar="N", help="range end, exclusive")
     fp.add_argument("--strict-cubic", action="store_true",
                     help="test every cubic root even when (1957/p) = +1")
-    fp.add_argument("--list-limit", type=int, default=200, metavar="N",
-                    help="print the survivor list when it has at most N entries (default 200)")
     fp.add_argument("--json", action="store_true", help="emit counts and survivor lists as JSON")
     fp.set_defaults(func=_cmd_filter_counts, parser=fp)
 

@@ -31,6 +31,7 @@ from .modarith import jacobi, sqrt_mod
 # kept under this name because perfbench/spans.py wraps filters.cubic_roots
 from .polycong import poly_roots as cubic_roots
 from .primes import PrimeRange, enumerate_primes
+from .verifier import recheck_witness
 
 __all__ = [
     "DOMAIN_START",
@@ -89,8 +90,9 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     sqrt_mod; every prime reaching stage 2 is 5 (mod 8).
 
     strict=True skips the (1957/p) == +1 shortcut and always enumerates
-    the roots; it can only reject more, never fewer.  The returned x is
-    checked here against x(x+1)...(x+5) == 1 before being released.
+    the roots; it can only reject more, never fewer.  The returned x lies
+    in [3, p-6], so (x-1)! == (x+5)! is a collision inside 2! .. (p-1)!,
+    and recheck_witness confirms it before it is released.
     """
     if not strict and jacobi(1957, p) == 1:
         return None
@@ -103,12 +105,11 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     # x(x+5) == y with x = (-5 + sqrt(4y+25)) / 2; the smallest liftable
     # root and sqrt_mod's canonical root keep the witness deterministic
     x = (s - 5) % p * pow(2, -1, p) % p
-    prod = 1
-    for i in range(6):
-        prod = prod * (x + i) % p
-    if prod != 1:
-        raise ArithmeticError(f"lifted witness x={x} fails its product check mod {p}")
-    assert 1 <= x <= p - 6, "product check should have excluded wrapped x"
+    if x <= 2:
+        # 0! == 6! (p | 719) or 1! == 7! (p | 5039): the other lift is valid
+        x = p - 5 - x
+    if not recheck_witness(p, x - 1, x + 5):
+        raise ArithmeticError(f"lifted witness x={x} fails its recheck mod {p}")
     return y, x
 
 
@@ -150,14 +151,6 @@ class FilterCounts:
     candidates: int = 0
     stage1_survivors: list[int] = field(default_factory=list)
     stage2_survivors: list[int] = field(default_factory=list)
-
-    def consistent(self) -> bool:
-        tallied = sum(getattr(self, name) for name in OUTCOMES)
-        return (
-            self.examined == tallied
-            and len(self.stage1_survivors) == self.rejected_cubic + self.candidates
-            and len(self.stage2_survivors) == self.candidates
-        )
 
 
 def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:

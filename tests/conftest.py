@@ -108,6 +108,15 @@ def factorials_agree(p: int, j: int, k: int) -> bool:
     return fj == fk
 
 
+def assert_partition(fc) -> None:
+    """A FilterCounts tallies each prime once and lists exactly its stage survivors."""
+    assert fc.examined == (fc.rejected_mod8 + fc.rejected_legendre5 + fc.rejected_legendre23
+                           + fc.rejected_cubic + fc.candidates)
+    assert len(fc.stage1_survivors) == fc.rejected_cubic + fc.candidates
+    assert len(fc.stage2_survivors) == fc.candidates
+    assert set(fc.stage2_survivors) <= set(fc.stage1_survivors)
+
+
 def naive_linear_pow(s: int, e: int, g: Sequence[int], p: int) -> list[int]:
     """(y + s)^e in Z/p[y]/(g) for monic g, on coefficient lists.
 

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     THREE_TERM_CUBIC,
+    assert_partition,
     brute_roots,
     cubic_discriminant,
     eval_mod,
@@ -87,7 +88,7 @@ def test_survivor_list_below_1000():
         assert fc.rejected_cubic == 2
         assert fc.candidates == 8
         assert fc.stage1_survivors == SURVIVORS_BELOW_1000
-        assert fc.consistent()
+        assert_partition(fc)
         assert elapsed < 1.0, f"took {elapsed:.2f}s, budget is 1s"
 
 
@@ -101,7 +102,7 @@ def test_filter_counts_to_one_million():
         assert (fc.examined, fc.rejected_mod8) == (78495, 58873)
         assert (fc.rejected_legendre5, fc.rejected_legendre23) == (9785, 4929)
         assert fc.rejected_cubic == 1246
-        assert fc.consistent()
+        assert_partition(fc)
         assert elapsed < 30.0, f"took {elapsed:.2f}s, budget is 30s"
 
 
@@ -256,10 +257,8 @@ def test_fp_floor_and_heuristic():
 
         est = heuristic(13)
         true = Fraction(12, 13) ** 45
-        rel = abs(est.exact - float(true)) / float(true)
-        assert rel < 1e-12
+        assert math.isclose(est.log_exact, math.log(true), rel_tol=1e-12)
         assert est.limit_exponent == -3
-        assert math.isclose(est.limit_form, math.exp(-3), rel_tol=1e-15)
 
 
 def test_thread_count_does_not_change_output(tmp_path):

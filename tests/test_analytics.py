@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import naive_primes
 from socprimes import analytics
 from socprimes.analytics import (
-    expected_count,
     expected_count_log,
     fp_histogram,
     fp_statistic,
@@ -146,16 +145,14 @@ class TestFpHistogram:
 class TestHeuristic:
     def test_p13_against_rational(self):
         est = heuristic(13)
-        true = Fraction(12, 13) ** 45
         assert est.limit_exponent == -3
-        assert math.isclose(est.exact, float(true), rel_tol=1e-12)
-        assert math.isclose(est.limit_form, math.exp(-3), rel_tol=1e-15)
+        assert math.isclose(est.log_exact, math.log(Fraction(12, 13) ** 45), rel_tol=1e-12)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 37, 97])
     def test_rational_oracle(self, p):
         pairs = (p - 3) * (p - 4) // 2
         true = Fraction(p - 1, p) ** pairs
-        assert math.isclose(heuristic(p).exact, float(true), rel_tol=1e-12)
+        assert math.isclose(heuristic(p).log_exact, math.log(true), rel_tol=1e-12)
 
     def test_limit_exponent_exact(self):
         assert heuristic(5).limit_exponent == 1
@@ -173,7 +170,7 @@ class TestHeuristic:
         assert all(a > b for a, b in zip(logs, logs[1:]))
 
     def test_scientific_split(self):
-        mant, e10 = heuristic(13).exact_scientific()
+        mant, e10 = scientific_from_log(heuristic(13).log_exact)
         assert e10 == -2
         assert math.isclose(mant, 2.7271260907, rel_tol=1e-9)
 
@@ -195,17 +192,16 @@ class TestExpectedCount:
     def test_single_prime_window(self):
         # [7, 11) holds only p = 7: expectation is (6/7)^6 exactly
         true = Fraction(6, 7) ** 6
-        assert math.isclose(expected_count(7, 11), float(true), rel_tol=1e-12)
+        assert math.isclose(expected_count_log(7, 11), math.log(true), rel_tol=1e-12)
 
     def test_matches_direct_sum_below_100(self):
         primes = [p for p in naive_primes(100) if p >= 7]
-        direct = math.fsum(heuristic(p).exact for p in primes)
-        assert math.isclose(expected_count(7, 100), direct, rel_tol=1e-12)
+        direct = sum(Fraction(p - 1, p) ** ((p - 3) * (p - 4) // 2) for p in primes)
+        assert math.isclose(expected_count_log(7, 100), math.log(direct), rel_tol=1e-12)
 
     def test_tail_frozen(self):
         ln = expected_count_log(1000, 100000)
         assert math.isclose(ln / math.log(10), -217.63336555934615, rel_tol=1e-12)
-        assert expected_count(1000, 100000) < 1e-200
 
     def test_stops_once_terms_underflow(self, monkeypatch):
         drawn = []
@@ -225,7 +221,6 @@ class TestExpectedCount:
 
     def test_empty_range(self):
         assert expected_count_log(7, 7) == float("-inf")
-        assert expected_count(7, 7) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -233,5 +228,5 @@ class TestExpectedCount:
 
     def test_prefix_dominates_tail(self):
         # the sum over [7, hi) is carried almost entirely by the first prime
-        total = expected_count(7, 1000)
-        assert heuristic(7).exact < total < heuristic(7).exact * 1.7
+        first = heuristic(7).log_exact
+        assert first < expected_count_log(7, 1000) < first + math.log(1.7)

@@ -200,7 +200,10 @@ class TestFilterCounts:
         assert "stage-1 survivors: 13 173 197 277 317 397 653 853 877 997" in text
 
     def test_list_limit_suppresses(self, capsys):
-        assert main(["filter-counts", "--from", "7", "--to", "1000", "--list-limit", "3"]) == 0
+        # the text form lists at most 200 stage-1 survivors: 29837 is the 201st
+        assert main(["filter-counts", "--from", "7", "--to", "29837"]) == 0
+        assert "stage-1 survivors: 13 173 " in capsys.readouterr().out
+        assert main(["filter-counts", "--from", "7", "--to", "29838"]) == 0
         assert "survivors:" not in capsys.readouterr().out
 
 
@@ -247,6 +250,15 @@ class TestHeuristic:
         assert capsys.readouterr().out == (
             "p=13: exact 2.727e-2 (ln = -3.6019), limit e^-3 = 4.979e-2\n"
         )
+
+    @pytest.mark.parametrize("p, line", [
+        (630901, "p=630901: exact 1.000e-136997 (ln = -315447.2500), limit e^-315447 = 1.284e-136997\n"),
+        (189017, "p=189017: exact 7.788e-41044 (ln = -94505.2500), limit e^-94505 = 1.000e-41043\n"),
+    ], ids=["exact", "limit"])
+    def test_mantissa_rounding_to_ten_carries(self, capsys, p, line):
+        # each of these mantissas is >= 9.9995 before rounding to three decimals
+        assert main(["heuristic", "--p", str(p)]) == 0
+        assert capsys.readouterr().out == line
 
     def test_range_json(self, capsys):
         code, doc = run_json(capsys, ["heuristic", "--from", "1000", "--to", "100000", "--json"])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import THREE_TERM_CUBIC, cubic_discriminant, eval_mod, naive_primes
+from conftest import THREE_TERM_CUBIC, assert_partition, cubic_discriminant, eval_mod, naive_primes
 from socprimes import filters
 from socprimes.engine import SearchConfig, search
 from socprimes.filters import (
@@ -95,6 +95,13 @@ class TestStageCubic:
         for p, x in [(197, 4), (317, 19)]:
             assert recheck_witness(p, x - 1, x + 5)
 
+    @pytest.mark.parametrize("p, hit", [(719, (6, 713)), (5039, (14, 5032))], ids=["719", "5039"])
+    def test_witness_avoids_the_lifts_below_3(self, p, hit):
+        # the canonical lifts x = 1 and 2 would claim 0! == 6! and 1! == 7!;
+        # the other root of x(x+5) == y is a collision inside 2! .. (p-1)!
+        assert stage_cubic(p) == hit
+        assert recheck_witness(p, hit[1] - 1, hit[1] + 5)
+
     def test_strict_rejects_a_shortcut_survivor(self):
         # 853 passes by the (1957/p) == +1 shortcut yet owns a liftable root
         assert jacobi(1957, 853) == 1
@@ -143,7 +150,7 @@ class TestCountFilters:
         assert fc.candidates == 8
         assert fc.stage1_survivors == SURVIVORS_BELOW_1000
         assert fc.stage2_survivors == [13, 173, 277, 397, 653, 853, 877, 997]
-        assert fc.consistent()
+        assert_partition(fc)
 
     def test_below_1000_strict(self):
         fc = count_filters(7, 1000, strict=True)
@@ -151,14 +158,14 @@ class TestCountFilters:
         assert fc.candidates == 6
         # strictness moves primes between stage-2 verdicts, never out of stage 1
         assert fc.stage1_survivors == SURVIVORS_BELOW_1000
-        assert fc.consistent()
+        assert_partition(fc)
 
     def test_at_100000_frozen(self):
         fc = count_filters(7, 10**5)
         assert (fc.examined, fc.rejected_mod8) == (9589, 7191)
         assert (fc.rejected_legendre5, fc.rejected_legendre23) == (1198, 610)
         assert (fc.rejected_cubic, fc.candidates) == (143, 447)
-        assert fc.consistent()
+        assert_partition(fc)
 
     def test_domain_clamp(self):
         fc = count_filters(0, 12)
