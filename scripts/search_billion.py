@@ -48,9 +48,8 @@ def main() -> int:
     ap.add_argument("--threads", type=int,
                     help="worker processes (default SOCPRIMES_THREADS, else CPU count)")
     ap.add_argument("--segments-per-leg", type=int, default=256,
-                    help="segments per leg, i.e. between progress lines (default 256, about 17M "
-                         "numbers).  Each leg ends with up to threads - 1 segments computed and "
-                         "thrown away: that per-leg overhead is spread over this many segments")
+                    help="segments per leg, i.e. between progress lines, rounded up to a multiple "
+                         "of --threads (default 256, about 17M numbers)")
     args = ap.parse_args()
     threads = args.threads if args.threads is not None else _default_threads()
 
@@ -66,7 +65,6 @@ def main() -> int:
             output_path=args.out or "billion.jsonl",
             threads=threads,
             checkpoint_path=args.checkpoint,
-            checkpoint_interval=16,
             stop_after_segments=args.segments_per_leg,
         )
         report = search(config)

@@ -237,7 +237,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--strict-cubic", action="store_true",
                     help="test every cubic root even when (1957/p) = +1")
     sp.add_argument("--stop-after-segments", type=int, metavar="N",
-                    help="commit N segments, write a checkpoint, and stop")
+                    help="commit N segments, rounded up to a multiple of --threads, write a checkpoint, and stop")
     sp.add_argument("--json", action="store_true", help="emit the final report as JSON")
     sp.set_defaults(func=_cmd_search, parser=sp)
 

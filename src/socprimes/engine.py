@@ -4,14 +4,15 @@ The range is cut into fixed-width segments.  Workers sieve and classify
 their segment independently; the coordinator commits results strictly in
 segment order, so the output stream and every counter are deterministic
 functions of the range alone, independent of thread count and of how the
-range is segmented.  A leg runs min(threads, segments it runs) workers,
-where a leg stopped by stop_after_segments runs at most `threads - 1`
-segments past its stop; one worker means no pool.  With more than one,
-at most that many segments are in flight: the next one is submitted as
-one finishes, so a stopped leg leaves at most `threads - 1` still
-running after it returns.  The pool (concurrent.futures, which loads
-multiprocessing, threading and logging) is imported by the first run that
-uses it, so importing this module costs a one-worker run none of that.
+range is segmented.  A leg fixes its segments up front and commits every
+one: all that are left, or with stop_after_segments=S at most S rounded
+up to a multiple of threads, min(left, ceil(S/threads) * threads).  It
+runs min(threads, its segments) workers; one worker means no pool.  With
+more than one, at most that many segments are in flight, the next one
+submitted as one finishes, and the pool is joined before the leg returns.
+The pool (concurrent.futures, which loads multiprocessing, threading and
+logging) is imported by the first run that uses it, so importing this
+module costs a one-worker run none of that.
 
 The results file is line-delimited JSON holding one record per prime
 that survived stage 1 of the filter pipeline: cubic rejections carry the
@@ -63,7 +64,7 @@ from .verifier import factorial_mod  # unused; kept bound because perfbench/span
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import hashlib
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures import Future
 
 __all__ = [
     "DOMAIN_START",
@@ -163,8 +164,9 @@ class SearchConfig:
     """One search run: what range, where results go, how hard to push.
 
     stop_after_segments is a cooperative interrupt: the run commits that
-    many segments, writes a checkpoint and returns a partial report.  It
-    exists so interruption and resume are testable without signals.
+    many segments rounded up to a multiple of threads (fewer where the
+    range ends first), writes a checkpoint and returns a partial report.
+    It exists so interruption and resume are testable without signals.
     """
 
     range: PrimeRange
@@ -379,75 +381,61 @@ def _commit(report: RangeReport, out, counters: Counters, records: list[dict], s
     return data
 
 
-def _in_order(pool: ProcessPoolExecutor, args: Iterator[tuple], width: int) -> Iterator[tuple]:
-    """_segment_task over args, yielded in order, with `width` segments computing at once.
+def _in_order(args: Iterator[tuple], width: int) -> Iterator[tuple]:
+    """_segment_task over args in a pool of `width` workers, yielded in order.
 
-    A segment is submitted as soon as any other finishes; finished ones
-    wait in `ready` until every segment before them has been yielded.
+    A segment is submitted as soon as any other finishes, so at most
+    `width` compute at once; finished ones wait in `ready` until every
+    segment before them has been yielded.  The pool is joined when the
+    generator finishes, fails or is closed.
     """
-    from concurrent.futures import FIRST_COMPLETED, wait  # loaded by _run already
+    # imported here, before the pool forks: it loads multiprocessing,
+    # threading and logging, which a one-worker run never uses
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    index = count()
-    running = {pool.submit(_segment_task, a): next(index) for a in islice(args, width)}
-    ready: dict[int, Future] = {}
-    for head in count():
-        while head not in ready:
-            if not running:
-                return
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            ready.update((running.pop(f), f) for f in done)
-            running.update((pool.submit(_segment_task, a), next(index)) for a in islice(args, len(done)))
-        yield ready.pop(head).result()
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        index = count()
+        running = {pool.submit(_segment_task, a): next(index) for a in islice(args, width)}
+        ready: dict[int, Future] = {}
+        for head in count():
+            while head not in ready:
+                if not running:
+                    return
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                ready.update((running.pop(f), f) for f in done)
+                running.update((pool.submit(_segment_task, a), next(index)) for a in islice(args, len(done)))
+            yield ready.pop(head).result()
 
 
 def _run(config: SearchConfig, report: RangeReport, out, digest: hashlib._Hash, started: float) -> RangeReport:
     """Run report's search from its completed_through on; digest is the sha256 of out so far."""
     sqrt_limit = isqrt(max(report.hi - 1, 2))
     _base_primes(sqrt_limit)  # warm before forking so workers inherit it
-    stop_after = config.stop_after_segments
-    size = config.range.segment_size
-    # segments this leg runs: a stopped leg computes past its stop only what
-    # the other workers are already running when it comes, and throws it away
+    size, threads = config.range.segment_size, config.threads
+    # the leg's segments, fixed up front and all committed: what is left, or
+    # for a stopped leg its stop rounded up to whole rounds of threads
     segments = -((report.completed_through - report.hi) // size)
-    if stop_after is not None:
-        segments = min(segments, stop_after + config.threads - 1)
-    workers = min(config.threads, segments)
+    if config.stop_after_segments is not None:
+        segments = min(segments, -(-config.stop_after_segments // threads) * threads)
+    workers = min(threads, segments)
     args = (
         (lo, hi, sqrt_limit, config.strict_cubic)
         for lo, hi in islice(PrimeRange(report.completed_through, report.hi, size).segments(), segments)
     )
-    prior_seconds, committed = report.wall_seconds, 0
-
-    def handle(result: tuple[int, Counters, list[dict]]) -> bool:
-        nonlocal committed
-        seg_hi, counters, records = result
-        digest.update(_commit(report, out, counters, records, seg_hi))
-        committed += 1
-        if config.checkpoint_path and committed % config.checkpoint_interval == 0:
-            out.flush()
-            os.fsync(out.fileno())
-            report.wall_seconds = prior_seconds + time.monotonic() - started
-            _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
-        return committed == stop_after
-
+    results = _in_order(args, workers) if workers > 1 else (_segment_task(a) for a in args)
+    prior_seconds = report.wall_seconds
     try:
-        if workers <= 1:
-            for a in args:
-                if handle(_segment_task(a)):
-                    break
-        else:
-            # imported here, before the pool forks: it loads multiprocessing,
-            # threading and logging, which a one-worker run never uses
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in _in_order(pool, args, workers):
-                    if handle(result):
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        break
+        for committed, (seg_hi, counters, records) in enumerate(results, 1):
+            digest.update(_commit(report, out, counters, records, seg_hi))
+            if config.checkpoint_path and committed % config.checkpoint_interval == 0:
+                out.flush()
+                os.fsync(out.fileno())
+                report.wall_seconds = prior_seconds + time.monotonic() - started
+                _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
         out.flush()
         os.fsync(out.fileno())
     finally:
+        results.close()
         out.close()
 
     report.wall_seconds = prior_seconds + time.monotonic() - started

@@ -322,14 +322,47 @@ class TestProcessPool:
         ckpt = str(tmp_path / "part.ckpt")
         stopped = search(SearchConfig(range=rng, output_path=str(tmp_path / "part.jsonl"), threads=threads,
                                       checkpoint_path=ckpt, checkpoint_interval=1, stop_after_segments=stop))
-        assert stopped.completed_through == 7 + stop * seg
-        assert CountingPool.submitted <= stop + threads - 1
+        assert stopped.completed_through == 7 + 4 * seg  # 3 rounded up to whole rounds of 2
+        assert CountingPool.submitted == 4
 
         CountingPool.submitted = 0
         resumed = resume(ckpt, threads=threads)
-        assert CountingPool.submitted == 20 - stop
+        assert CountingPool.submitted == 20 - 4
         assert resumed.complete and resumed.counters == full.counters
         assert open(resumed.output_path, "rb").read() == open(full.output_path, "rb").read()
+
+    @pytest.mark.parametrize("threads, stop, left, committed", [
+        (1, 3, 20, 3),
+        (2, 4, 16, 4),
+        (2, 1, 8, 2),
+        (2, 3, 20, 4),
+        (4, 3, 2, 2),  # the range ends first
+    ])
+    def test_stopped_leg_commits_whole_rounds(self, tmp_path, threads, stop, left, committed):
+        seg = 512
+        rng = PrimeRange(7, 7 + left * seg, seg)
+        full = run_search(tmp_path, rng.lo, rng.hi, name="full.jsonl", segment_size=seg)
+        ckpt = str(tmp_path / "part.ckpt")
+        stopped = search(SearchConfig(range=rng, output_path=str(tmp_path / "part.jsonl"), threads=threads,
+                                      checkpoint_path=ckpt, checkpoint_interval=1, stop_after_segments=stop))
+        assert stopped.completed_through == 7 + committed * seg
+        assert stopped.complete == (committed == left)
+        resumed = resume(ckpt, threads=threads)
+        assert resumed.complete and resumed.counters == full.counters
+        assert open(resumed.output_path, "rb").read() == open(full.output_path, "rb").read()
+
+    def test_stopped_leg_leaves_no_worker_and_no_uncommitted_segment(self, tmp_path, monkeypatch):
+        # segments 2^16 wide near 10^8 take long enough that a segment handed
+        # out past the stop would still be running when the leg returns
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(CountingPool, "submitted", 0)
+        seg = 2**16
+        rng = PrimeRange(10**8, 10**8 + 8 * seg, seg)
+        children_before = set(multiprocessing.active_children())
+        stopped = search(SearchConfig(range=rng, output_path=str(tmp_path / "part.jsonl"), threads=2,
+                                      checkpoint_path=str(tmp_path / "part.ckpt"), stop_after_segments=2))
+        assert not set(multiprocessing.active_children()) - children_before
+        assert CountingPool.submitted == (stopped.completed_through - rng.lo) // seg == 2
 
     def test_pool_is_never_bigger_than_its_work(self, tmp_path, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
