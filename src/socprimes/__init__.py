@@ -7,11 +7,11 @@ a range either fails a cheap necessary condition or comes with an
 explicit factorial collision witness.
 
 Layering: modarith and primes are arithmetic bedrock, polycong finds the
-roots mod p of a monic polynomial of any degree, filters stages the
-necessary conditions and owns the p > 5 domain, verifier scans for a
-factorial duplicate (a birthday window, else scan_bitset), engine drives
-checkpointed range searches, analytics measures F(p) and the vanishing
-heuristic, and cli fronts it all.
+roots mod p of a monic polynomial of any degree, filters decides one prime
+by the staged necessary conditions and owns the p > 5 domain, verifier
+scans for a factorial duplicate (a birthday window, else scan_bitset),
+engine walks ranges (checkpointed searches and count_filters), analytics
+measures F(p) and the vanishing heuristic, and cli fronts it all.
 
 Importing the package loads every module above except cli, and from the
 standard library only what a one-process run executes; not typing,
@@ -32,16 +32,16 @@ from .analytics import (
 from .engine import (
     CheckpointError,
     Counters,
+    FilterCounts,
     RangeReport,
     SearchConfig,
+    count_filters,
     resume,
     search,
 )
 from .filters import (
     OUTCOMES,
     SIX_TERM_CUBIC,
-    FilterCounts,
-    count_filters,
     run_pipeline,
     stage_cubic,
     stage_legendre,

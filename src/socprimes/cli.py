@@ -21,8 +21,8 @@ from .analytics import (
     heuristic,
     scientific_from_log,
 )
-from .engine import RangeReport, SearchConfig, resume, search
-from .filters import OUTCOMES, count_filters
+from .engine import RangeReport, SearchConfig, count_filters, resume, search
+from .filters import OUTCOMES
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange
 from .verifier import VerdictKind, verify_distinct
 

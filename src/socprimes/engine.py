@@ -1,18 +1,20 @@
 """Segment-parallel search driver with checkpointing and resume.
 
-The range is cut into fixed-width segments.  Workers sieve and classify
-their segment independently; the coordinator commits results strictly in
-segment order, so the output stream and every counter are deterministic
-functions of the range alone, independent of thread count and of how the
-range is segmented.  A leg fixes its segments up front and commits every
-one: all that are left, or with stop_after_segments=S at most S rounded
-up to a multiple of threads, min(left, ceil(S/threads) * threads).  It
-runs min(threads, its segments) workers; one worker means no pool.  With
-more than one, at most that many segments are in flight, the next one
-submitted as one finishes, and the pool is joined before the leg returns.
-The pool (concurrent.futures, which loads multiprocessing, threading and
-logging) is imported by the first run that uses it, so importing this
-module costs a one-worker run none of that.
+The range is cut into fixed-width segments.  Workers sieve each segment,
+filter its primes and scan the candidates the filters pass
+(count_filters is that filter pass alone, over a whole range); the
+coordinator commits results strictly in segment order, so the output
+stream and every counter are deterministic functions of the range alone,
+independent of thread count and of how the range is segmented.  A leg
+fixes its segments up front and commits every one: all that are left, or
+with stop_after_segments=S at most S rounded up to a multiple of
+threads, min(left, ceil(S/threads) * threads).  It runs min(threads, its
+segments) workers; one worker means no pool.  With more than one, at
+most that many segments are in flight, the next one submitted as one
+finishes, and the pool is joined before the leg returns.  The pool
+(concurrent.futures, which loads multiprocessing, threading and logging)
+is imported by the first run that uses it, so importing this module
+costs a one-worker run none of that.
 
 The results file is line-delimited JSON holding one record per prime
 that survived stage 1 of the filter pipeline: cubic rejections carry the
@@ -48,13 +50,13 @@ import functools
 import json
 import os
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import astuple, dataclass, fields
 from itertools import count, islice
 from math import isfinite, isqrt
 
-from .filters import DOMAIN_START, domain, run_pipeline
-from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange, primes_in_segment, small_primes
+from .filters import DOMAIN_START, OUTCOMES, domain, run_pipeline
+from .primes import PrimeRange, enumerate_primes, primes_in_segment, small_primes
 from .verifier import VerdictKind, recheck_witness, scan_bitset, verify_distinct
 from .verifier import factorial_mod  # unused; kept bound because perfbench/spans.py wraps engine.factorial_mod
 
@@ -73,8 +75,10 @@ __all__ = [
     "Counters",
     "SearchConfig",
     "RangeReport",
+    "FilterCounts",
     "search",
     "resume",
+    "count_filters",
 ]
 
 CHECKPOINT_VERSION = 2
@@ -205,6 +209,27 @@ class RangeReport:
         return self.completed_through >= self.hi
 
 
+@dataclass
+class FilterCounts:
+    """Aggregate pipeline statistics over a prime range.
+
+    stage1_survivors are the primes that reached stage 2 (they passed the
+    mod-8 and both symbol tests); stage2_survivors additionally passed
+    the cubic stage and are the candidates a verifier must scan.
+    """
+
+    lo: int
+    hi: int
+    examined: int
+    rejected_mod8: int
+    rejected_legendre5: int
+    rejected_legendre23: int
+    rejected_cubic: int
+    candidates: int
+    stage1_survivors: list[int]
+    stage2_survivors: list[int]
+
+
 def _validate_config(config: SearchConfig) -> None:
     if config.checkpoint_path and os.path.realpath(config.output_path) in {
             os.path.realpath(config.checkpoint_path), os.path.realpath(config.checkpoint_path + ".tmp")}:
@@ -222,24 +247,34 @@ def _validate_config(config: SearchConfig) -> None:
 
 
 # ----------------------------------------------------------------------
-# worker side
+# segment work: the filter pass, then the scan of its candidates
 
 _base_primes = functools.cache(small_primes)
 
 
-def _classify(p: int, strict: bool) -> tuple[str, dict | None]:
-    """Map one prime to the Counters field it is tallied in and (for stage-1 survivors) a record."""
-    outcome, witness = run_pipeline(p, strict)
-    if witness is not None:
-        return outcome, {"p": p, "outcome": "RejectedCubic", "witness": witness}
-    if outcome != "candidates":
-        return outcome, None
+def _filter(primes: Iterable[int], strict: bool) -> tuple[dict[str, int], list[tuple[int, dict | None]]]:
+    """run_pipeline on each prime: the tally per OUTCOMES entry and the stage-1 survivors.
 
+    A survivor comes with its witness: the {y, x} of a cubic rejection,
+    None for a candidate.
+    """
+    tally = dict.fromkeys(OUTCOMES, 0)
+    survivors: list[tuple[int, dict | None]] = []
+    for p in primes:
+        outcome, witness = run_pipeline(p, strict)
+        tally[outcome] += 1
+        if outcome == "rejected_cubic" or outcome == "candidates":
+            survivors.append((p, witness))
+    return tally, survivors
+
+
+def _scan(p: int) -> dict:
+    """The record of one candidate: a rechecked Collision, or a Socialist verdict scanned twice."""
     verdict = verify_distinct(p)
     if verdict.kind is VerdictKind.COLLISION:
         if not recheck_witness(p, verdict.j, verdict.k):
             raise ArithmeticError(f"collision witness for p={p} failed recheck")
-        return "collisions", {
+        return {
             "p": p,
             "outcome": "Collision",
             "witness": {"j": verdict.j, "k": verdict.k, "residue": verdict.residue},
@@ -247,21 +282,29 @@ def _classify(p: int, strict: bool) -> tuple[str, dict | None]:
     confirm = scan_bitset(p)
     if confirm.kind is not VerdictKind.SOCIALIST:
         raise ArithmeticError(f"socialist verdict for p={p} failed its confirmation scan")
-    return "socialist", {"p": p, "outcome": "Socialist"}
+    return {"p": p, "outcome": "Socialist"}
 
 
 def _segment_task(args: tuple) -> tuple[int, Counters, list[dict]]:
     seg_lo, seg_hi, sqrt_limit, strict = args
-    base = _base_primes(sqrt_limit)
-    tally = Counters().as_dict()  # a plain dict: cheaper per prime than Counters' attributes
-    records: list[dict] = []
-    for p in primes_in_segment(seg_lo, seg_hi, base):
-        outcome, record = _classify(p, strict)
-        tally[outcome] += 1
-        if record is not None:
-            records.append(record)
-    tally["examined"] = sum(tally.values())
-    return seg_hi, Counters(**tally), records
+    tally, survivors = _filter(primes_in_segment(seg_lo, seg_hi, _base_primes(sqrt_limit)), strict)
+    records = [_scan(p) if witness is None else {"p": p, "outcome": "RejectedCubic", "witness": witness}
+               for p, witness in survivors]
+    socialist = sum(rec["outcome"] == "Socialist" for rec in records)
+    examined = sum(tally.values())
+    candidates = tally.pop("candidates")
+    return seg_hi, Counters(examined, **tally, collisions=candidates - socialist, socialist=socialist), records
+
+
+def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
+    """Tally every pipeline outcome for primes in [lo, hi): a search's filter pass alone.
+
+    The primes walked are those in domain(lo, hi), as in a search; the
+    counts still record the lo and hi asked for.
+    """
+    tally, survivors = _filter(enumerate_primes(PrimeRange(*domain(lo, hi))), strict)
+    return FilterCounts(lo, hi, sum(tally.values()), **tally, stage1_survivors=[p for p, _ in survivors],
+                        stage2_survivors=[p for p, witness in survivors if witness is None])
 
 
 # ----------------------------------------------------------------------

@@ -25,12 +25,9 @@ outcome so callers can hand the collision to independent rechecking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .modarith import jacobi, sqrt_mod
 # kept under this name because perfbench/spans.py wraps filters.cubic_roots
 from .polycong import poly_roots as cubic_roots
-from .primes import PrimeRange, enumerate_primes
 from .verifier import recheck_witness
 
 __all__ = [
@@ -38,12 +35,10 @@ __all__ = [
     "domain",
     "SIX_TERM_CUBIC",
     "OUTCOMES",
-    "FilterCounts",
     "stage_mod8",
     "stage_legendre",
     "stage_cubic",
     "run_pipeline",
-    "count_filters",
 ]
 
 #: Smallest prime any stage or search examines; the problem statement is p > 5.
@@ -130,42 +125,3 @@ def run_pipeline(p: int, strict: bool = False) -> tuple[str, dict | None]:
     if hit is not None:
         return "rejected_cubic", {"y": hit[0], "x": hit[1]}
     return "candidates", None
-
-
-@dataclass
-class FilterCounts:
-    """Aggregate pipeline statistics over a prime range.
-
-    stage1_survivors are the primes that reached stage 2 (they passed the
-    mod-8 and both symbol tests); stage2_survivors additionally passed
-    the cubic stage and are the candidates a verifier must scan.
-    """
-
-    lo: int
-    hi: int
-    examined: int = 0
-    rejected_mod8: int = 0
-    rejected_legendre5: int = 0
-    rejected_legendre23: int = 0
-    rejected_cubic: int = 0
-    candidates: int = 0
-    stage1_survivors: list[int] = field(default_factory=list)
-    stage2_survivors: list[int] = field(default_factory=list)
-
-
-def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
-    """Tally every pipeline outcome for primes in [lo, hi).
-
-    The primes walked are those in domain(lo, hi), as in a search; the
-    counts still record the lo and hi asked for.
-    """
-    counts = FilterCounts(lo=lo, hi=hi)
-    for p in enumerate_primes(PrimeRange(*domain(lo, hi))):
-        outcome, _ = run_pipeline(p, strict)
-        counts.examined += 1
-        setattr(counts, outcome, getattr(counts, outcome) + 1)
-        if outcome == "rejected_cubic" or outcome == "candidates":
-            counts.stage1_survivors.append(p)
-        if outcome == "candidates":
-            counts.stage2_survivors.append(p)
-    return counts

@@ -3,6 +3,7 @@ import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +56,7 @@ class TestSearch:
         assert doc["stage1_survivors"] == 10
         assert doc["socialist"] == []
         assert doc["resumed"] is False
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert [json.loads(l)["p"] for l in lines] == SURVIVORS_BELOW_1000
 
     def test_fresh_human(self, capsys, tmp_path):
@@ -98,7 +99,7 @@ class TestSearch:
         code, doc = run_json(capsys, base + ["--json"])
         assert code == 0
         assert doc["complete"] is True and doc["resumed"] is True
-        assert open(part, "rb").read() == open(full, "rb").read()
+        assert Path(part).read_bytes() == Path(full).read_bytes()
 
     @pytest.fixture
     def stopped(self, capsys, tmp_path):
@@ -138,7 +139,7 @@ class TestSearch:
         capsys.readouterr()
         code, doc = run_json(capsys, base + args + ["--json"])
         assert code == 0 and doc["complete"] and doc["resumed"]
-        assert part.read_bytes() == open(full, "rb").read()
+        assert part.read_bytes() == Path(full).read_bytes()
 
     def test_resume_reads_the_checkpoint_once(self, capsys, monkeypatch, stopped):
         ckpt, part, base = stopped

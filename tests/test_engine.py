@@ -30,6 +30,7 @@ from socprimes.engine import (
     RangeReport,
     SearchConfig,
     _commit,
+    count_filters,
     resume,
     search,
 )
@@ -143,13 +144,29 @@ class TestDeterminism:
         a = run_search(tmp_path, 7, 20000, name="a.jsonl", segment_size=512)
         b = run_search(tmp_path, 7, 20000, name="b.jsonl", segment_size=7000)
         assert a.counters == b.counters
-        assert open(a.output_path, "rb").read() == open(b.output_path, "rb").read()
+        assert Path(a.output_path).read_bytes() == Path(b.output_path).read_bytes()
 
     def test_thread_invariance(self, tmp_path):
         a = run_search(tmp_path, 7, 20000, name="a.jsonl", segment_size=2048, threads=1)
         b = run_search(tmp_path, 7, 20000, name="b.jsonl", segment_size=2048, threads=3)
         assert a.counters == b.counters
-        assert open(a.output_path, "rb").read() == open(b.output_path, "rb").read()
+        assert Path(a.output_path).read_bytes() == Path(b.output_path).read_bytes()
+
+
+class TestSearchAgreesWithCountFilters:
+    """search and count_filters share the filter pass, so they classify every prime alike."""
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+    @pytest.mark.parametrize("lo, hi", [(7, 10**5), (10**6, 10**6 + 2**16)], ids=["below-1e5", "at-1e6"])
+    def test_prime_by_prime(self, tmp_path, lo, hi, strict):
+        counters = run_search(tmp_path, lo, hi, strict_cubic=strict).counters
+        records = read_records(tmp_path / "out.jsonl")
+        fc = count_filters(lo, hi, strict=strict)
+        for name in ("examined", "rejected_mod8", "rejected_legendre5", "rejected_legendre23", "rejected_cubic"):
+            assert getattr(counters, name) == getattr(fc, name), name
+        assert fc.candidates == counters.collisions + counters.socialist
+        assert fc.stage1_survivors == [r["p"] for r in records]
+        assert fc.stage2_survivors == [r["p"] for r in records if r["outcome"] in ("Collision", "Socialist")]
 
 
 class TestConfigValidation:
@@ -206,14 +223,14 @@ class TestCheckpointResume:
         full, _stopped, resumed = self.full_and_stopped(tmp_path)
         assert resumed.resumed and resumed.complete
         assert resumed.counters == full.counters
-        assert (open(resumed.output_path, "rb").read()
-                == open(full.output_path, "rb").read())
+        assert (Path(resumed.output_path).read_bytes()
+                == Path(full.output_path).read_bytes())
 
     def test_resume_with_more_threads(self, tmp_path):
         full, _stopped, resumed = self.full_and_stopped(tmp_path, threads_resume=2)
         assert resumed.counters == full.counters
-        assert (open(resumed.output_path, "rb").read()
-                == open(full.output_path, "rb").read())
+        assert (Path(resumed.output_path).read_bytes()
+                == Path(full.output_path).read_bytes())
 
     def test_resume_truncates_torn_tail(self, tmp_path):
         full, stopped, _ = self.full_and_stopped(tmp_path)
@@ -222,38 +239,38 @@ class TestCheckpointResume:
             fh.write(b'{"p": 999999, "outcome": "Colli')
         resumed = resume(str(tmp_path / "part.ckpt"))
         assert resumed.counters == full.counters
-        assert (open(resumed.output_path, "rb").read()
-                == open(full.output_path, "rb").read())
+        assert (Path(resumed.output_path).read_bytes()
+                == Path(full.output_path).read_bytes())
 
     def test_resume_drops_uncommitted_records_and_torn_line(self, tmp_path):
         # the run's own file after a crash: records of segments the checkpoint
         # never covered, then half of the next record
         full = run_search(tmp_path, 7, 9000, name="full.jsonl", segment_size=512)
-        expected = open(full.output_path, "rb").read()
+        expected = Path(full.output_path).read_bytes()
         ckpt, part_out = str(tmp_path / "part.ckpt"), str(tmp_path / "part.jsonl")
         search(SearchConfig(range=PrimeRange(7, 9000, 512), output_path=part_out, checkpoint_path=ckpt,
                             checkpoint_interval=1, stop_after_segments=3))
         shutil.copy(ckpt, ckpt + ".old")
         resume(ckpt, stop_after_segments=4)
         shutil.copy(ckpt + ".old", ckpt)
-        offset = json.loads(open(ckpt).read())["output_offset"]
-        written = len(open(part_out, "rb").read())
+        offset = json.loads(Path(ckpt).read_text())["output_offset"]
+        written = len(Path(part_out).read_bytes())
         assert expected[offset:written].count(b"\n") >= 2
         next_line = expected[written:expected.index(b"\n", written) + 1]
         with open(part_out, "ab") as fh:
             fh.write(next_line[: len(next_line) // 2])
         resumed = resume(ckpt)
         assert resumed.counters == full.counters
-        assert open(part_out, "rb").read() == expected
+        assert Path(part_out).read_bytes() == expected
 
     def test_resume_of_complete_run_is_noop(self, tmp_path):
         ckpt = str(tmp_path / "c.json")
         done = run_search(tmp_path, 7, 1000, checkpoint_path=ckpt)
-        before = open(done.output_path, "rb").read()
+        before = Path(done.output_path).read_bytes()
         again = resume(ckpt)
         assert again.complete and again.resumed
         assert again.counters == done.counters
-        assert open(done.output_path, "rb").read() == before
+        assert Path(done.output_path).read_bytes() == before
 
     def test_resume_in_single_segment_steps(self, tmp_path):
         full = run_search(tmp_path, 7, 3000, name="full.jsonl", segment_size=256)
@@ -272,14 +289,14 @@ class TestCheckpointResume:
             hops += 1
         assert hops == 12  # ceil(2993 / 256)
         assert report.counters == full.counters
-        assert (open(str(tmp_path / "steps.jsonl"), "rb").read()
-                == open(full.output_path, "rb").read())
+        assert ((tmp_path / "steps.jsonl").read_bytes()
+                == Path(full.output_path).read_bytes())
 
     def test_checkpoint_contents(self, tmp_path):
         ckpt = str(tmp_path / "c.json")
         report = run_search(tmp_path, 7, 1000, checkpoint_path=ckpt)
-        payload = json.loads(open(ckpt, encoding="ascii").read())
-        results = open(report.output_path, "rb").read()
+        payload = json.loads(Path(ckpt).read_text(encoding="ascii"))
+        results = Path(report.output_path).read_bytes()
         assert payload["version"] == CHECKPOINT_VERSION == 2
         assert (payload["lo"], payload["hi"]) == (7, 1000)
         assert payload["completed_through"] == 1000
@@ -329,7 +346,7 @@ class TestProcessPool:
         resumed = resume(ckpt, threads=threads)
         assert CountingPool.submitted == 20 - 4
         assert resumed.complete and resumed.counters == full.counters
-        assert open(resumed.output_path, "rb").read() == open(full.output_path, "rb").read()
+        assert Path(resumed.output_path).read_bytes() == Path(full.output_path).read_bytes()
 
     @pytest.mark.parametrize("threads, stop, left, committed", [
         (1, 3, 20, 3),
@@ -349,7 +366,7 @@ class TestProcessPool:
         assert stopped.complete == (committed == left)
         resumed = resume(ckpt, threads=threads)
         assert resumed.complete and resumed.counters == full.counters
-        assert open(resumed.output_path, "rb").read() == open(full.output_path, "rb").read()
+        assert Path(resumed.output_path).read_bytes() == Path(full.output_path).read_bytes()
 
     def test_stopped_leg_leaves_no_worker_and_no_uncommitted_segment(self, tmp_path, monkeypatch):
         # segments 2^16 wide near 10^8 take long enough that a segment handed
@@ -370,7 +387,7 @@ class TestProcessPool:
         one = run_search(tmp_path, 7, 10**5, name="one.jsonl", segment_size=DEFAULT_SEGMENT_SIZE)
         eight = run_search(tmp_path, 7, 10**5, name="eight.jsonl", segment_size=DEFAULT_SEGMENT_SIZE, threads=8)
         assert CountingPool.sizes == [2]  # two segments, so two workers
-        assert open(eight.output_path, "rb").read() == open(one.output_path, "rb").read()
+        assert Path(eight.output_path).read_bytes() == Path(one.output_path).read_bytes()
 
         run_search(tmp_path, 7, 1000, name="single.jsonl", threads=4)
         ckpt = str(tmp_path / "last.ckpt")
@@ -380,21 +397,21 @@ class TestProcessPool:
         assert CountingPool.sizes == [2]  # neither one-segment leg built a pool
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched _classify reaches the workers only through fork")
+                        reason="the patched run_pipeline reaches the workers only through fork")
     def test_worker_error_reaches_caller(self, tmp_path, monkeypatch):
         seg = 512
         rng = PrimeRange(7, 7 + 8 * seg, seg)
         full = run_search(tmp_path, rng.lo, rng.hi, name="full.jsonl", segment_size=seg)
         good_through = 7 + 3 * seg
         bad = next(p for p in small_primes(good_through + seg) if p >= good_through)
-        real_classify = engine._classify
+        real_pipeline = engine.run_pipeline
 
-        def classify(p, strict):
+        def pipeline(p, strict):
             if p == bad:
                 raise ArithmeticError(f"injected failure at p={p}")
-            return real_classify(p, strict)
+            return real_pipeline(p, strict)
 
-        monkeypatch.setattr(engine, "_classify", classify)
+        monkeypatch.setattr(engine, "run_pipeline", pipeline)
         ckpt = str(tmp_path / "part.ckpt")
         part_out = str(tmp_path / "part.jsonl")
         config = SearchConfig(range=rng, output_path=part_out, threads=2,
@@ -416,7 +433,7 @@ class TestProcessPool:
         assert str(raised[0]) == f"injected failure at p={bad}"
         assert not set(multiprocessing.active_children()) - children_before
 
-        payload = json.loads(open(ckpt).read())
+        payload = json.loads(Path(ckpt).read_text())
         committed = [r for r in read_records(full.output_path) if r["p"] < good_through]
         assert payload["completed_through"] == good_through
         assert read_records(part_out) == committed
@@ -425,24 +442,24 @@ class TestProcessPool:
         monkeypatch.undo()
         resumed = resume(ckpt, threads=2)
         assert resumed.complete and resumed.counters == full.counters
-        assert open(part_out, "rb").read() == open(full.output_path, "rb").read()
+        assert Path(part_out).read_bytes() == Path(full.output_path).read_bytes()
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched _classify reaches the workers only through fork")
+                        reason="the patched run_pipeline reaches the workers only through fork")
     def test_dead_worker_exits_one_and_resumes(self, tmp_path, monkeypatch, capsys):
         seg = 512
         rng = PrimeRange(7, 7 + 8 * seg, seg)
         full = run_search(tmp_path, rng.lo, rng.hi, name="full.jsonl", segment_size=seg)
         seg3 = 7 + 3 * seg
         victim = next(p for p in small_primes(seg3 + seg) if p >= seg3)
-        coordinator, real_classify = os.getpid(), engine._classify
+        coordinator, real_pipeline = os.getpid(), engine.run_pipeline
 
-        def classify(p, strict):
+        def pipeline(p, strict):
             if p == victim and os.getpid() != coordinator:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_classify(p, strict)
+            return real_pipeline(p, strict)
 
-        monkeypatch.setattr(engine, "_classify", classify)
+        monkeypatch.setattr(engine, "run_pipeline", pipeline)
         part_out = str(tmp_path / "part.jsonl")
         argv = ["search", "--from", str(rng.lo), "--to", str(rng.hi), "--segment-size", str(seg),
                 "--threads", "2", "--checkpoint", str(tmp_path / "part.ckpt"),
@@ -453,7 +470,7 @@ class TestProcessPool:
 
         monkeypatch.undo()
         assert main(argv) == 0
-        assert open(part_out, "rb").read() == open(full.output_path, "rb").read()
+        assert Path(part_out).read_bytes() == Path(full.output_path).read_bytes()
 
 
 KILL_RANGE = PrimeRange(10**8, 10**8 + 32 * 4096, 4096)
@@ -516,7 +533,7 @@ def make_checkpoint(tmp_path):
         stop_after_segments=2,
     )
     search(cfg)
-    return ckpt, json.loads(open(ckpt).read())
+    return ckpt, json.loads(Path(ckpt).read_text())
 
 
 @pytest.fixture(scope="module")
@@ -558,12 +575,12 @@ class TestCheckpointValidation:
     @given(data=st.data())
     def test_damaged_checkpoint_is_a_checkpoint_error(self, stopped_checkpoint, data):
         ckpt, payload = stopped_checkpoint
-        results = open(payload["output_path"], "rb").read()
+        results = Path(payload["output_path"]).read_bytes()
         self.rewrite(ckpt, data.draw(damaged(payload)))
         with pytest.raises(CheckpointError):
             resume(ckpt)
         assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
-        assert open(payload["output_path"], "rb").read() == results
+        assert Path(payload["output_path"]).read_bytes() == results
 
     @pytest.mark.parametrize("damage", ["foreign", "edited"])
     def test_resume_into_another_file_is_refused(self, tmp_path, damage):
@@ -574,7 +591,7 @@ class TestCheckpointValidation:
             record = b'{"p":7,"outcome":"Collision","witness":{"j":1,"k":2,"residue":1}}\n'
             other.write_bytes((record * (15_000 // len(record) + 1))[:15_000])
         else:
-            data = bytearray(open(payload["output_path"], "rb").read())
+            data = bytearray(Path(payload["output_path"]).read_bytes())
             data[payload["output_offset"] // 2] ^= 0x01
             other.write_bytes(bytes(data))
         before = other.read_bytes()
@@ -594,7 +611,7 @@ class TestCheckpointValidation:
         ckpt = str(tmp_path / "c.json")
         search(SearchConfig(range=PrimeRange(7, 20000, 6), output_path=str(tmp_path / "o.jsonl"),
                             checkpoint_path=ckpt, stop_after_segments=1))
-        assert json.loads(open(ckpt).read())["output_offset"] == 0
+        assert json.loads(Path(ckpt).read_text())["output_offset"] == 0
         other = tmp_path / "other.jsonl"
         other.write_bytes((foreign * (15_000 // len(foreign) + 1))[:15_000])
         before = other.read_bytes()
@@ -629,7 +646,7 @@ class TestCheckpointValidation:
         ckpt, payload = make_checkpoint(tmp_path)
         report = resume(ckpt, lo=2, hi=3000, strict_cubic=False, segment_size=512, checkpoint_interval=1)
         assert report.complete and report.resumed and report.counters == full.counters
-        assert open(payload["output_path"], "rb").read() == open(full.output_path, "rb").read()
+        assert Path(payload["output_path"]).read_bytes() == Path(full.output_path).read_bytes()
 
     def test_checkpoint_written_key_by_key_resumes(self, tmp_path):
         # built key by key as _checkpoint_payload wrote them while a separate
@@ -637,7 +654,7 @@ class TestCheckpointValidation:
         seg = 512
         full = run_search(tmp_path, 7, 7 + 8 * seg, name="full.jsonl", segment_size=seg)
         head = run_search(tmp_path, 7, 7 + 3 * seg, name="part.jsonl", segment_size=seg)
-        data = open(head.output_path, "rb").read()
+        data = Path(head.output_path).read_bytes()
         payload = {
             "version": 2, "lo": 7, "hi": full.hi, "segment_size": seg, "strict_cubic": False,
             "checkpoint_interval": 16, "completed_through": head.hi, "counters": head.counters.as_dict(),
@@ -649,7 +666,7 @@ class TestCheckpointValidation:
         self.rewrite(ckpt, payload)
         resumed = resume(str(ckpt), threads=2)
         assert resumed.complete and resumed.counters == full.counters and resumed.wall_seconds >= 1.5
-        assert open(head.output_path, "rb").read() == open(full.output_path, "rb").read()
+        assert Path(head.output_path).read_bytes() == Path(full.output_path).read_bytes()
         assert list(json.loads(ckpt.read_text())) == list(payload)
 
     def test_version_1_checkpoint_is_refused(self, tmp_path):
@@ -676,7 +693,7 @@ class TestCheckpointValidation:
         self.rewrite(ckpt, payload)
         resumed = resume(ckpt)
         assert resumed.complete and resumed.counters == full.counters
-        assert open(resumed.output_path, "rb").read() == open(full.output_path, "rb").read()
+        assert Path(resumed.output_path).read_bytes() == Path(full.output_path).read_bytes()
 
     def test_bad_version(self, tmp_path):
         ckpt, payload = make_checkpoint(tmp_path)
@@ -701,7 +718,7 @@ class TestCheckpointValidation:
 
     def test_not_json(self, tmp_path):
         ckpt, _ = make_checkpoint(tmp_path)
-        open(ckpt, "w").write("not json{")
+        Path(ckpt).write_text("not json{")
         with pytest.raises(CheckpointError):
             resume(ckpt)
 
@@ -711,7 +728,7 @@ class TestCheckpointValidation:
 
     def test_output_shorter_than_offset(self, tmp_path):
         ckpt, payload = make_checkpoint(tmp_path)
-        open(payload["output_path"], "wb").write(b"{}")
+        Path(payload["output_path"]).write_bytes(b"{}")
         if payload["output_offset"] <= 2:
             pytest.skip("stopped leg committed no records; offset too small to undercut")
         with pytest.raises(CheckpointError):
@@ -763,13 +780,13 @@ class TestCheckpointValidation:
         assert [f.read_bytes() for f in files] == before
 
 
-class TestClassifyGuards:
-    """_classify's checks on the scan, with the scan and the recheck stubbed."""
+class TestScanGuards:
+    """_scan's checks on a candidate's verdict, with the scan and the recheck stubbed."""
 
     def test_collision_failing_its_recheck_is_refused(self, monkeypatch):
         monkeypatch.setattr(engine, "recheck_witness", lambda p, j, k: False)
         with pytest.raises(ArithmeticError, match="failed recheck"):
-            engine._classify(13, False)
+            engine._scan(13)
 
     def test_confirmed_socialist_verdict(self, monkeypatch):
         scans = []
@@ -782,14 +799,14 @@ class TestClassifyGuards:
 
         monkeypatch.setattr(engine, "verify_distinct", scanner("verify_distinct"))
         monkeypatch.setattr(engine, "scan_bitset", scanner("scan_bitset"))
-        assert engine._classify(13, False) == ("socialist", {"p": 13, "outcome": "Socialist"})
+        assert engine._scan(13) == {"p": 13, "outcome": "Socialist"}
         assert scans == ["verify_distinct", "scan_bitset"]
 
     def test_disagreeing_confirmation_is_refused(self, monkeypatch):
         monkeypatch.setattr(engine, "verify_distinct", lambda p: Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1))
         monkeypatch.setattr(engine, "scan_bitset", lambda p: Verdict(p, VerdictKind.COLLISION, 2, 7, 2, scanned_up_to=7))
         with pytest.raises(ArithmeticError, match="confirmation scan"):
-            engine._classify(13, False)
+            engine._scan(13)
 
 
 class TestSocialistPath:

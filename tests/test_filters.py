@@ -4,11 +4,10 @@ from hypothesis import strategies as st
 
 from conftest import THREE_TERM_CUBIC, assert_partition, cubic_discriminant, eval_mod, naive_primes
 from socprimes import filters
-from socprimes.engine import SearchConfig, search
+from socprimes.engine import SearchConfig, count_filters, search
 from socprimes.filters import (
     OUTCOMES,
     SIX_TERM_CUBIC,
-    count_filters,
     run_pipeline,
     stage_cubic,
     stage_legendre,
