@@ -133,6 +133,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_counts(args: argparse.Namespace) -> int:
+    PrimeRange(args.lo, args.hi)  # refuses the ranges search refuses
     counts = count_filters(args.lo, args.hi, strict=args.strict_cubic)
     if args.json:
         print(json.dumps(asdict(counts)))

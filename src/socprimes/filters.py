@@ -8,14 +8,15 @@ the conditions below, so each stage only ever discards safely:
 * stage 1: (5/p) == -1 and (-23/p) == +1.  The first would otherwise give
   x(x+1) == -1 two solutions and collide (x+1)! with (x-1)!; -23 is the
   discriminant of x(x+1)(x+2) - 1, whose split behaviour must keep that
-  cubic rootless.
+  cubic rootless.  As 5 == -23 == 1 (mod 4), reciprocity makes them (p/5)
+  and (p/23), so the stage reads p mod 5 and p mod 23, exactly for any odd p.
 * stage 2: every root y of y^3 + 10y^2 + 24y - 1 must have
   (4y+25/p) == -1.  The cubic is x(x+1)...(x+5) - 1 compressed through
   y = x(x+5); a root y whose 4y+25 is a square lifts to an integer x with
   (x+5)! == (x-1)! mod p, an explicit collision.  When (1957/p) == +1 the
   stage passes without root work (1957 is this cubic's discriminant, and
   the only dangerous factor shape has exactly one root, forcing
-  (1957/p) == -1).
+  (1957/p) == -1).  For p == 2 (mod 3) Cardano's formula gives that root.
 
 A prime's outcome is the name of the counter it is tallied in, one of
 OUTCOMES.  Stage 2 returns the rejecting root and the lifted x, and
@@ -53,6 +54,8 @@ SIX_TERM_CUBIC = (-1, 24, 10, 1)
 #: stage 0, 1 (two symbols) or 2, then survival of all three.
 OUTCOMES = ("rejected_mod8", "rejected_legendre5", "rejected_legendre23", "rejected_cubic", "candidates")
 
+_SQUARES_MOD_23 = frozenset(i * i % 23 for i in range(1, 23))  # the p mod 23 with (-23/p) == +1
+
 
 def domain(lo: int, hi: int) -> tuple[int, int]:
     """The part of [lo, hi) the problem covers: lo raised to DOMAIN_START, hi to at least lo."""
@@ -68,11 +71,12 @@ def stage_mod8(p: int) -> bool:
 def stage_legendre(p: int) -> str | None:
     """Stage 1: None on survival, else the outcome naming the symbol that rejected p.
 
-    The 5-test runs first, so a prime failing both is attributed to 5.
+    (5/p) == -1 iff p mod 5 is 2 or 3, (-23/p) == +1 iff p mod 23 is a nonzero
+    square.  The 5-test runs first, so a prime failing both is attributed to 5.
     """
-    if jacobi(5, p) != -1:
+    if p % 5 not in (2, 3):
         return "rejected_legendre5"
-    if jacobi(-23, p) != 1:
+    if p % 23 not in _SQUARES_MOD_23:
         return "rejected_legendre23"
     return None
 
@@ -85,13 +89,16 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     sqrt_mod; every prime reaching stage 2 is 5 (mod 8).
 
     strict=True skips the (1957/p) == +1 shortcut and always enumerates
-    the roots; it can only reject more, never fewer.  The returned x lies
-    in [3, p-6], so (x-1)! == (x+5)! is a collision inside 2! .. (p-1)!,
-    and recheck_witness confirms it before it is released.
+    the roots with poly_roots; it can only reject more, never fewer.  Else
+    (1957/p) == -1 leaves one root, Cardano's when p == 2 (mod 3).  The
+    returned x lies in [3, p-6], so (x-1)! == (x+5)! is a collision inside
+    2! .. (p-1)!, and recheck_witness confirms it before it is released.
     """
-    if not strict and jacobi(1957, p) == 1:
+    symbol = 0 if strict else jacobi(1957, p)  # strict finds roots as for p | 1957
+    if symbol == 1:
         return None
-    for y in cubic_roots(SIX_TERM_CUBIC, p):
+    roots = (_cardano_root(p),) if symbol == -1 and p % 3 == 2 else cubic_roots(SIX_TERM_CUBIC, p)
+    for y in roots:
         s = sqrt_mod(4 * y + 25, p)
         if s is not None:
             break
@@ -106,6 +113,18 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     if not recheck_witness(p, x - 1, x + 5):
         raise ArithmeticError(f"lifted witness x={x} fails its recheck mod {p}")
     return y, x
+
+
+def _cardano_root(p: int) -> int:
+    """The one root of SIX_TERM_CUBIC mod a prime p == 2 (mod 3) with (1957/p) == -1.
+
+    y = (v-10)/3 gives v^3 - 84v - 187, whose root is v = u + 28/u for u the
+    cube root z^((2p-1)/3) of z = (187 + sqrt(-52839))/2: 52839 = 27 * 1957
+    and (-3/p) == -1 make the square root exist, and u == 0 needs p | 2^8 7^3.
+    """
+    z = (187 + sqrt_mod(-52839, p)) * ((p + 1) >> 1) % p
+    u = pow(z, (2 * p - 1) // 3, p)
+    return (u * (u - 10) + 28) * pow(3 * u, -1, p) % p
 
 
 def run_pipeline(p: int, strict: bool = False) -> tuple[str, dict | None]:

@@ -207,6 +207,17 @@ class TestFilterCounts:
         assert main(["filter-counts", "--from", "7", "--to", "29838"]) == 0
         assert "survivors:" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("lo, hi", [("-5", "100"), ("990", "800")], ids=["negative", "reversed"])
+    def test_bad_range_refused_as_search_refuses_it(self, capsys, tmp_path, lo, hi):
+        assert main(["filter-counts", "--from", lo, "--to", hi]) == 64
+        assert "bad range" in capsys.readouterr().err
+        assert main(["search", "--from", lo, "--to", hi, "--out", str(tmp_path / "r.jsonl"), "--threads", "1"]) == 64
+        assert "bad range" in capsys.readouterr().err
+
+    def test_range_below_the_domain_is_not_refused(self, capsys):
+        assert main(["filter-counts", "--from", "0", "--to", "12"]) == 0
+        assert "primes examined     2" in capsys.readouterr().out
+
 
 class TestFpStats:
     def test_json_frozen(self, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from socprimes.filters import (
     stage_mod8,
 )
 from socprimes.modarith import jacobi
+from socprimes.polycong import poly_roots
 from socprimes.primes import PrimeRange
 from socprimes.verifier import recheck_witness
 
@@ -52,6 +55,13 @@ class TestStageLegendre:
         assert stage_legendre(29) == "rejected_legendre5"
         assert stage_legendre(37) == "rejected_legendre23"
         assert stage_legendre(13) is None
+
+    def test_classes_match_the_symbols_for_every_odd_n(self):
+        # reciprocity holds for the Jacobi symbol, so composites must agree too
+        for n in range(3, 2 * 10**5, 2):
+            expected = ("rejected_legendre5" if jacobi(5, n) != -1
+                        else "rejected_legendre23" if jacobi(-23, n) != 1 else None)
+            assert stage_legendre(n) == expected, n
 
     def test_attribution_order(self):
         # a prime failing both symbols is counted against 5
@@ -115,6 +125,28 @@ class TestStageCubic:
                 continue
             if stage_cubic(p) is not None:
                 assert stage_cubic(p, strict=True) is not None, p
+
+
+@pytest.fixture(scope="module")
+def stage1_below_1e6():
+    return count_filters(7, 10**6).stage1_survivors
+
+
+class TestCardanoRoot:
+    def test_equals_poly_roots_lone_root(self, stage1_below_1e6):
+        served = [p for p in stage1_below_1e6 if p % 3 == 2 and jacobi(1957, p) == -1]
+        assert len(served) == 1219
+        for p in served:
+            assert (filters._cardano_root(p),) == poly_roots(SIX_TERM_CUBIC, p), p
+
+    def test_stage2_identity_below_1e6(self, stage1_below_1e6):
+        # default and strict verdicts of every stage-1 survivor; the digest is
+        # what poly_roots alone gives for every root, so Cardano moves no verdict
+        digest = hashlib.sha256()
+        for p in stage1_below_1e6:
+            digest.update(f"{p} {stage_cubic(p)} {stage_cubic(p, strict=True)}\n".encode())
+        assert len(stage1_below_1e6) == 4908
+        assert digest.hexdigest() == "e333ad7c4d307b9d863b29bcc23fcea76a20d9c590bcef48aa8ab7f863b69960"
 
 
 class TestRunPipeline:
@@ -207,19 +239,25 @@ class TestTracedNames:
             monkeypatch.setattr(filters, name, counted)
         return calls
 
-    def expected(self):
+    def expected(self, strict=False):
         stage1 = [p for p in self.PRIMES if p % 8 == 5 and jacobi(5, p) == -1 and jacobi(-23, p) == 1]
         return {
             "stage_mod8": self.PRIMES,
             "stage_legendre": [p for p in self.PRIMES if p % 8 == 5],
             "stage_cubic": stage1,
-            "cubic_roots": [p for p in stage1 if jacobi(1957, p) != 1],
+            # Cardano's formula serves (1957/p) == -1 with p == 2 (mod 3)
+            "cubic_roots": stage1 if strict else [p for p in stage1 if jacobi(1957, p) != 1 and p % 3 == 1],
         }
 
     def test_count_filters_calls_each_stage(self, calls):
         fc = count_filters(7, 10**4)
         assert calls == self.expected()
         assert fc.stage1_survivors == calls["stage_cubic"]
+
+    def test_strict_count_filters_finds_roots_for_every_survivor(self, calls):
+        fc = count_filters(7, 10**4, strict=True)
+        assert calls == self.expected(strict=True)
+        assert fc.stage1_survivors == calls["cubic_roots"]
 
     def test_search_calls_each_stage(self, calls, tmp_path):
         report = search(SearchConfig(range=PrimeRange(7, 10**4, 1024), output_path=str(tmp_path / "o.jsonl")))
