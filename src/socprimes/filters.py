@@ -16,7 +16,9 @@ the conditions below, so each stage only ever discards safely:
   (x+5)! == (x-1)! mod p, an explicit collision.  When (1957/p) == +1 the
   stage passes without root work (1957 is this cubic's discriminant, and
   the only dangerous factor shape has exactly one root, forcing
-  (1957/p) == -1).  For p == 2 (mod 3) Cardano's formula gives that root.
+  (1957/p) == -1).  _lone_root gives that root in F_p alone, for every p:
+  it is (v-10)/3 with v = u + 28/u, u a cube root of z = (187 + sqrt(-52839))/2,
+  and v is a Lucas number V_a(187, 28^3), over 28 when p == 1 (mod 3).
 
 A prime's outcome is the name of the counter it is tallied in, one of
 OUTCOMES.  Stage 2 returns the rejecting root and the lifted x, and
@@ -90,14 +92,14 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
 
     strict=True skips the (1957/p) == +1 shortcut and always enumerates
     the roots with poly_roots; it can only reject more, never fewer.  Else
-    (1957/p) == -1 leaves one root, Cardano's when p == 2 (mod 3).  The
+    (1957/p) == -1 leaves one root, _lone_root's closed form.  The
     returned x lies in [3, p-6], so (x-1)! == (x+5)! is a collision inside
     2! .. (p-1)!, and recheck_witness confirms it before it is released.
     """
     symbol = 0 if strict else jacobi(1957, p)  # strict finds roots as for p | 1957
     if symbol == 1:
         return None
-    roots = (_cardano_root(p),) if symbol == -1 and p % 3 == 2 else cubic_roots(SIX_TERM_CUBIC, p)
+    roots = (_lone_root(p),) if symbol == -1 else cubic_roots(SIX_TERM_CUBIC, p)
     for y in roots:
         s = sqrt_mod(4 * y + 25, p)
         if s is not None:
@@ -115,16 +117,24 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     return y, x
 
 
-def _cardano_root(p: int) -> int:
-    """The one root of SIX_TERM_CUBIC mod a prime p == 2 (mod 3) with (1957/p) == -1.
+def _lone_root(p: int) -> int:
+    """The one root of SIX_TERM_CUBIC mod a prime p > 7 with (1957/p) == -1.
 
-    y = (v-10)/3 gives v^3 - 84v - 187, whose root is v = u + 28/u for u the
-    cube root z^((2p-1)/3) of z = (187 + sqrt(-52839))/2: 52839 = 27 * 1957
-    and (-3/p) == -1 make the square root exist, and u == 0 needs p | 2^8 7^3.
+    y = (v-10)/3 gives v^3 - 84v - 187, whose root is u + 28/u for u^3 = z,
+    z = (187 + sqrt(-52839))/2 of trace 187 and norm 28^3.  If p == 2 (mod 3),
+    z lies in F_p and cubing is a bijection: u = z^a, a = (2p-1)/3.  Else z
+    lies in F_{p^2}, 3 does not divide p+1, and u = z^a/28, a = (p+2)/3, has
+    u^3 = z and norm 28.  Either way u + 28/u = V_a/d, d = 1 or 28, for the
+    Lucas trace V_a = z^a + conj(z)^a, by the ladder on (V_k, V_{k+1}, Q^k).
     """
-    z = (187 + sqrt_mod(-52839, p)) * ((p + 1) >> 1) % p
-    u = pow(z, (2 * p - 1) // 3, p)
-    return (u * (u - 10) + 28) * pow(3 * u, -1, p) % p
+    d, a = (1, (2 * p - 1) // 3) if p % 3 == 2 else (28, (p + 2) // 3)
+    v, w, q = 187, 187 * 187 - 2 * 21952, 21952  # V_1, V_2 and Q^1 for P = 187, Q = 28^3
+    for bit in bin(a)[3:]:
+        if bit == "1":
+            v, w, q = (v * w - 187 * q) % p, (w * w - 2 * 21952 * q) % p, q * q * 21952 % p
+        else:
+            v, w, q = (v * v - 2 * q) % p, (v * w - 187 * q) % p, q * q % p
+    return (v - 10 * d) * pow(3 * d, -1, p) % p
 
 
 def run_pipeline(p: int, strict: bool = False) -> tuple[str, dict | None]:

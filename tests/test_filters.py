@@ -132,21 +132,54 @@ def stage1_below_1e6():
     return count_filters(7, 10**6).stage1_survivors
 
 
-class TestCardanoRoot:
-    def test_equals_poly_roots_lone_root(self, stage1_below_1e6):
-        served = [p for p in stage1_below_1e6 if p % 3 == 2 and jacobi(1957, p) == -1]
-        assert len(served) == 1219
-        for p in served:
-            assert (filters._cardano_root(p),) == poly_roots(SIX_TERM_CUBIC, p), p
+def lone_root_domain(primes):
+    """The primes stage_cubic takes to _lone_root: p > 7, 3 (mod 4) or 5 (mod 8), (1957/p) == -1."""
+    return [p for p in primes if p > 7 and (p % 4 == 3 or p % 8 == 5) and jacobi(1957, p) == -1]
+
+
+class TestLoneRoot:
+    @staticmethod
+    def assert_equals_poly_roots(primes):
+        for p in primes:
+            assert (filters._lone_root(p),) == poly_roots(SIX_TERM_CUBIC, p), p
+
+    def test_equals_poly_roots_below_1e6(self, stage1_below_1e6):
+        served = lone_root_domain(stage1_below_1e6)
+        assert (len(served), sum(p % 3 == 1 for p in served)) == (2423, 1204)
+        self.assert_equals_poly_roots(served)
+
+    def test_equals_poly_roots_on_the_stage_domain(self):
+        served = lone_root_domain(naive_primes(2 * 10**4))
+        assert len(served) == 883
+        self.assert_equals_poly_roots(served)
+
+    def test_equals_poly_roots_near_1e12(self):
+        # p above 2^30 takes multi-digit ints through the ladder
+        served = lone_root_domain(count_filters(10**12, 10**12 + 2**16).stage1_survivors)
+        assert len(served) == 76
+        self.assert_equals_poly_roots(served)
 
     def test_stage2_identity_below_1e6(self, stage1_below_1e6):
         # default and strict verdicts of every stage-1 survivor; the digest is
-        # what poly_roots alone gives for every root, so Cardano moves no verdict
+        # what poly_roots alone gives for every root, so _lone_root moves no verdict
         digest = hashlib.sha256()
         for p in stage1_below_1e6:
             digest.update(f"{p} {stage_cubic(p)} {stage_cubic(p, strict=True)}\n".encode())
         assert len(stage1_below_1e6) == 4908
         assert digest.hexdigest() == "e333ad7c4d307b9d863b29bcc23fcea76a20d9c590bcef48aa8ab7f863b69960"
+
+    @pytest.mark.parametrize("lo, hi, survivors, hexdigest", [
+        (10**9 - 2**22, 10**9, 12578, "eaa7b56a8a9191c0433a05f1cb6303fd862feaacf7c747d162140833bf2b60e7"),
+        (10**10 - 2**21, 10**10, 5712, "3ae0b4b9408836228ddf3dbd02207af91455891b90f66cc6237a483c4248f721"),
+    ], ids=["1e9", "1e10"])
+    def test_stage2_identity_near(self, lo, hi, survivors, hexdigest):
+        # the 10^6 test's digest near 10^9, and near 10^10, where p passes 2^30
+        stage1 = count_filters(lo, hi).stage1_survivors
+        digest = hashlib.sha256()
+        for p in stage1:
+            digest.update(f"{p} {stage_cubic(p)} {stage_cubic(p, strict=True)}\n".encode())
+        assert len(stage1) == survivors
+        assert digest.hexdigest() == hexdigest
 
 
 class TestRunPipeline:
@@ -245,8 +278,8 @@ class TestTracedNames:
             "stage_mod8": self.PRIMES,
             "stage_legendre": [p for p in self.PRIMES if p % 8 == 5],
             "stage_cubic": stage1,
-            # Cardano's formula serves (1957/p) == -1 with p == 2 (mod 3)
-            "cubic_roots": stage1 if strict else [p for p in stage1 if jacobi(1957, p) != 1 and p % 3 == 1],
+            # _lone_root serves (1957/p) == -1, so by default only p | 1957 finds roots
+            "cubic_roots": stage1 if strict else [p for p in stage1 if jacobi(1957, p) == 0],
         }
 
     def test_count_filters_calls_each_stage(self, calls):
