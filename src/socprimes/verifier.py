@@ -28,15 +28,17 @@ event, at the price of O(p) memory; the two must agree event for event.
 
 recheck_witness confirms a Collision for prime p without the scan: j! ==
 k! exactly when the gap product (j+1)(j+2)...k is 1 mod p, since j! is a
-unit.  It multiplies the k - j factors of the gap, two per reduction,
-and shares no state with the scan.
+unit.  It multiplies the gap's k - j factors _CHUNK at a time, one exact
+math.perm product per reduction, and shares no state with the scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
+from math import isqrt, perm
+
+_CHUNK = 16  # gap factors per math.perm product in recheck_witness; 8 ran 3-16% slower
 
 __all__ = [
     "VerdictKind",
@@ -80,7 +82,7 @@ def default_cap(p: int) -> int:
 
 
 def factorial_mod(n: int, p: int) -> int:
-    """n! mod p for 0 <= n < p, by direct product."""
+    """n! mod p for 0 <= n < p by direct product: the route tests check witnesses against."""
     if not 0 <= n < p:
         raise ValueError("need 0 <= n < p")
     f = 1
@@ -94,22 +96,20 @@ def recheck_witness(p: int, j: int, k: int) -> bool:
 
     For prime p the two statements are the same, because j < p makes j!
     a unit and it cancels.  For composite p they are not (j! may share a
-    factor with p), so p must be prime.  The product is formed two
-    factors per reduction, with one more factor k when k - j is odd.
+    factor with p), so p must be prime.  The (k - j) % _CHUNK leading
+    factors are one perm(lead, lead - j); then each run of _CHUNK is one
+    exact C product perm(top, _CHUNK) = (top-_CHUNK+1)...top, reduced once.
 
-    The check stays independent of the scan that produced the witness:
-    it never reads the scan's running product or its table of seen
-    residues, and it groups the factors in pairs from j+1 on, so its
-    intermediate values are partial products of the gap, never factorials.
+    The check stays independent of the scan: it never reads the scan's
+    running product or its table of seen residues, and every intermediate
+    is a partial product of the gap from j+1 on, never a factorial.
     """
     if not 2 <= j < k <= p - 1:
         raise ValueError("witness indices must satisfy 2 <= j < k <= p-1")
-    f = 1
-    paired_end = k - (k - j) % 2
-    for i in range(j + 1, paired_end, 2):
-        f = f * (i * (i + 1)) % p
-    if paired_end < k:
-        f = f * k % p
+    lead = j + (k - j) % _CHUNK
+    f = perm(lead, lead - j) % p
+    for top in range(lead + _CHUNK, k + 1, _CHUNK):
+        f = f * perm(top, _CHUNK) % p
     return f == 1
 
 

@@ -160,8 +160,11 @@ def first_collision_from(start):
     raise AssertionError(f"no collision among the primes in [{start}, {start + 10_000})")
 
 
+SHIFTS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+
+
 class TestRecheckAgainstFactorials:
-    # recheck_witness multiplies the gap (j+1)...k; the oracle compares j! with k!
+    # recheck_witness multiplies the gap (j+1)...k in chunks; the oracle compares j! with k!
 
     def test_every_pair_below_100(self):
         kinds = set()
@@ -172,15 +175,26 @@ class TestRecheckAgainstFactorials:
                 for j in range(2, k):
                     expected = factorials_agree(p, j, k)
                     assert recheck_witness(p, j, k) is expected, (p, j, k)
-                    kinds.add((expected, (k - j) % 2))
-        # true and false witnesses, with even and odd gaps
-        assert kinds == {(True, 0), (True, 1), (False, 0), (False, 1)}
+                    kinds.add((expected, (k - j) % verifier._CHUNK))
+        # true and false witnesses for every length of the leading chunk
+        assert kinds == {(e, r) for e in (True, False) for r in range(verifier._CHUNK)}
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 10**10 + 19, 10**12 + 39])
+    def test_shifted_scan_witnesses_above_2_30(self, p):
+        # past 2^30, p and every reduced product take two 30-bit CPython digits
+        v = verify_distinct(p)
+        assert v.kind is VerdictKind.COLLISION
+        for dj, dk in SHIFTS:
+            j, k = v.j + dj, v.k + dk
+            expected = factorials_agree(p, j, k)
+            assert expected is ((dj, dk) == (0, 0))
+            assert recheck_witness(p, j, k) is expected, (p, j, k)
 
     @settings(max_examples=60)
     @given(
         base=st.sampled_from((10**6, 10**8)),
         offset=st.integers(0, 10**5),
-        shift=st.sampled_from(((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))),
+        shift=st.sampled_from(SHIFTS),
     )
     def test_shifted_scan_witnesses_near_1e6_and_1e8(self, base, offset, shift):
         p, j, k = first_collision_from(base + offset)
