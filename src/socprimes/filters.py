@@ -6,19 +6,20 @@ the conditions below, so each stage only ever discards safely:
 * stage 0: p == 5 (mod 8).  Otherwise 2 is a quadratic residue or the
   half-factorial bookkeeping forces a repeat.
 * stage 1: (5/p) == -1 and (-23/p) == +1.  The first would otherwise give
-  x(x+1) == -1 two solutions and collide (x+1)! with (x-1)!; -23 is the
+  x(x+1) == 1 two solutions and collide (x+1)! with (x-1)!; -23 is the
   discriminant of x(x+1)(x+2) - 1, whose split behaviour must keep that
   cubic rootless.  As 5 == -23 == 1 (mod 4), reciprocity makes them (p/5)
   and (p/23), so the stage reads p mod 5 and p mod 23, exactly for any odd p.
-* stage 2: every root y of y^3 + 10y^2 + 24y - 1 must have
-  (4y+25/p) == -1.  The cubic is x(x+1)...(x+5) - 1 compressed through
-  y = x(x+5); a root y whose 4y+25 is a square lifts to an integer x with
-  (x+5)! == (x-1)! mod p, an explicit collision.  When (1957/p) == +1 the
-  stage passes without root work (1957 is this cubic's discriminant, and
-  the only dangerous factor shape has exactly one root, forcing
-  (1957/p) == -1).  _lone_root gives that root in F_p alone, for every p:
-  it is (v-10)/3 with v = u + 28/u, u a cube root of z = (187 + sqrt(-52839))/2,
-  and v is a Lucas number V_a(187, 28^3), over 28 when p == 1 (mod 3).
+* stage 2, gap 6 of one gap routine: every root y of y^3 + 10y^2 + 24y - 1,
+  gap 6's _gap_polynomial, must have (4y+25/p) == -1.  The cubic is
+  x(x+1)...(x+5) - 1 compressed through y = x(x+5); _gap_witness lifts a
+  root y whose 4y+25 is a square to an x with (x+5)! == (x-1)! mod p, an
+  explicit collision.  When (1957/p) == +1 the stage passes without root
+  work (1957 is this cubic's discriminant, and the only dangerous factor
+  shape has exactly one root, forcing (1957/p) == -1).  _lone_root gives
+  that root in F_p alone, for every p: it is (v-10)/3 with v = u + 28/u,
+  u a cube root of z = (187 + sqrt(-52839))/2, and v is a Lucas number
+  V_a(187, 28^3), over 28 when p == 1 (mod 3).
 
 A prime's outcome is the name of the counter it is tallied in, one of
 OUTCOMES.  Stage 2 returns the rejecting root and the lifted x, and
@@ -86,9 +87,9 @@ def stage_legendre(p: int) -> str | None:
 def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     """Stage 2: None on survival, else the rejecting root (y, x) pair.
 
-    The first root y, in increasing order, for which sqrt_mod(4y+25, p)
-    is not None is lifted to x.  p must be 3 (mod 4) or 5 (mod 8), as for
-    sqrt_mod; every prime reaching stage 2 is 5 (mod 8).
+    Stage 2 is gap 6: _gap_witness lifts the first liftable root y, in
+    increasing order, to x, and y == x(x+5).  p must be 3 (mod 4) or
+    5 (mod 8), as for sqrt_mod; every prime reaching stage 2 is 5 (mod 8).
 
     strict=True skips the (1957/p) == +1 shortcut and always enumerates
     the roots with poly_roots; it can only reject more, never fewer.  Else
@@ -100,21 +101,45 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     if symbol == 1:
         return None
     roots = (_lone_root(p),) if symbol == -1 else cubic_roots(SIX_TERM_CUBIC, p)
-    for y in roots:
-        s = sqrt_mod(4 * y + 25, p)
-        if s is not None:
-            break
-    else:
-        return None
-    # x(x+5) == y with x = (-5 + sqrt(4y+25)) / 2; the smallest liftable
-    # root and sqrt_mod's canonical root keep the witness deterministic
-    x = (s - 5) % p * pow(2, -1, p) % p
-    if x <= 2:
-        # 0! == 6! (p | 719) or 1! == 7! (p | 5039): the other lift is valid
-        x = p - 5 - x
-    if not recheck_witness(p, x - 1, x + 5):
-        raise ArithmeticError(f"lifted witness x={x} fails its recheck mod {p}")
-    return y, x
+    x = _gap_witness(6, roots, p)
+    return None if x is None else (x * (x + 5) % p, x)
+
+
+def _gap_polynomial(g: int) -> tuple[int, ...]:
+    """Gap g's polynomial, low to high: its roots are the collisions (x-1)! == (x+g-1)!.
+
+    Odd g gives f_g(x) = x(x+1)...(x+g-1) - 1.  Even g = 2m gives
+    F_m(y) = prod_{i<m} (y + i(g-1-i)) - 1, which is f_g compressed through
+    y = x(x+g-1), since (x+i)(x+g-1-i) = y + i(g-1-i).
+    """
+    poly = [1]
+    for c in range(g) if g % 2 else [i * (g - 1 - i) for i in range(g // 2)]:
+        poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]  # times (var + c)
+    poly[0] -= 1
+    return tuple(poly)
+
+
+def _gap_witness(g: int, roots: tuple[int, ...], p: int) -> int | None:
+    """x for the first of _gap_polynomial(g)'s roots giving (x-1)! == (x+g-1)!, 3 <= x <= p-g.
+
+    An odd-g root is x.  An even-g root y lifts to x = (s-g+1)/2 with
+    s = sqrt_mod((g-1)^2 + 4y, p), or to the mirror p-g+1-x when x is 1 or 2
+    (g! or (g+1)! == 1, outside 2! .. (p-1)!).  The canonical s keeps x
+    deterministic, and every x passes recheck_witness before it is returned.
+    """
+    for x in roots:
+        if g % 2 == 0:
+            s = sqrt_mod((g - 1) ** 2 + 4 * x, p)
+            if s is None:
+                continue
+            x = (s - g + 1) % p * pow(2, -1, p) % p
+            if x <= 2:
+                x = p - g + 1 - x
+        if 3 <= x <= p - g:
+            if not recheck_witness(p, x - 1, x + g - 1):
+                raise ArithmeticError(f"gap-{g} witness x={x} fails its recheck mod {p}")
+            return x
+    return None
 
 
 def _lone_root(p: int) -> int:

@@ -3,7 +3,7 @@
 Everything here is deliberately naive: trial division, Euler's criterion,
 power-sum evaluation, full-range root scans, the closed-form cubic
 discriminant, a dict-only factorial walk, factorials built from 1, ring
-powers on plain coefficient lists.
+powers on plain coefficient lists, gap products over every x.
 The point is an arithmetic path independent of the package's production
 code, so the two can disagree loudly when one is wrong.
 
@@ -30,8 +30,8 @@ settings.load_profile("suite")
 
 #: x(x+1)(x+2) - 1 = x^3 + 3x^2 + 2x - 1, low to high; a root x would
 #: give (x+2)! == (x-1)!.  Its discriminant is -23, the constant behind
-#: filter stage 1's second symbol.  The pipeline never solves it, so only
-#: the tests hold it.
+#: filter stage 1's second symbol.  It is the hand-expanded reference
+#: for gap 3: filters._gap_polynomial(3) must equal it.
 THREE_TERM_CUBIC = (-1, 2, 3, 1)
 
 
@@ -92,6 +92,22 @@ def reference_scan(p: int) -> tuple:
                 return ("NegHalfHit", k, f)
         seen[f] = k
     return ("Socialist",)
+
+
+def gap_collisions(g: int, p: int) -> list[int]:
+    """Every x in [3, p-g] with x(x+1)...(x+g-1) == 1 (mod p), by direct product.
+
+    Each x is a collision (x-1)! == (x+g-1)! inside 2! .. (p-1)!, so this
+    is the per-gap oracle for filters._gap_witness, over all x.
+    """
+    out = []
+    for x in range(3, p - g + 1):
+        prod = 1
+        for i in range(x, x + g):
+            prod = prod * i % p
+        if prod == 1:
+            out.append(x)
+    return out
 
 
 def factorials_agree(p: int, j: int, k: int) -> bool:

@@ -1,10 +1,11 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import THREE_TERM_CUBIC, assert_partition, cubic_discriminant, eval_mod, naive_primes
+from conftest import THREE_TERM_CUBIC, assert_partition, cubic_discriminant, eval_mod, gap_collisions, naive_primes
 from socprimes import filters
 from socprimes.engine import SearchConfig, count_filters, search
 from socprimes.filters import (
@@ -94,7 +95,7 @@ class TestStageCubic:
                 seen += 1
                 x, y = witness["x"], witness["y"]
                 assert six_term_product(x, p) == 1, p
-                assert 1 <= x <= p - 6, p
+                assert 3 <= x <= p - 6, p
                 assert eval_mod(SIX_TERM_CUBIC, y, p) == 0, p
                 assert jacobi(4 * y + 25, p) != -1, p
         assert seen == 40
@@ -125,6 +126,76 @@ class TestStageCubic:
                 continue
             if stage_cubic(p) is not None:
                 assert stage_cubic(p, strict=True) is not None, p
+
+
+def gap_witness(g: int, p: int) -> int | None:
+    """Gap g's witness for p from every root poly_roots finds."""
+    return filters._gap_witness(g, poly_roots(filters._gap_polynomial(g), p), p)
+
+
+def sqrt_domain(p: int) -> bool:
+    """p is 3 (mod 4) or 5 (mod 8), the moduli sqrt_mod takes."""
+    return p % 4 == 3 or p % 8 == 5
+
+
+class TestGapRoutine:
+    def test_stage_polynomials_are_gap_rows(self):
+        assert filters._gap_polynomial(3) == THREE_TERM_CUBIC
+        assert filters._gap_polynomial(6) == SIX_TERM_CUBIC
+
+    def test_stages_0_and_1_are_gap_rows(self):
+        # gap 2 is x(x+1) == 1, of discriminant 5; gap 3's cubic has one root
+        # when its discriminant -23 is a nonresidue; gap 4's y-quadratic
+        # y^2 + 2y - 1 needs sqrt(2), a nonresidue for p == 5 (mod 8)
+        primes = [p for p in PRIMES_BELOW_10K if p >= 7]
+        gap2 = [p for p in primes if sqrt_domain(p)]
+        for p in gap2:
+            assert (gap_witness(2, p) is not None) == (jacobi(5, p) == 1), p
+        gap3 = [p for p in primes if jacobi(-23, p) == -1]
+        for p in gap3:
+            assert gap_witness(3, p) is not None, p
+        gap4 = [p for p in primes if p % 8 == 5]
+        for p in gap4:
+            assert poly_roots(filters._gap_polynomial(4), p) == (), p
+        assert (len(gap2), len(gap3), len(gap4)) == (931, 626, 313)
+
+    def test_matches_brute_force_below_2000(self):
+        pairs = 0
+        for p in naive_primes(2000):
+            if p < 19 or not sqrt_domain(p):
+                continue
+            for g in range(5, 17):
+                if p <= g + 3:
+                    continue
+                pairs += 1
+                expected = gap_collisions(g, p)
+                x = gap_witness(g, p)
+                assert x in expected if expected else x is None, (p, g)
+        assert pairs == 2747
+
+    def test_root_share_law_on_fixed_survivors(self):
+        """Each gap's witness share on 1 000 stage-2 survivors lies within 4 sigma of its law.
+
+        The law is a heuristic, not a theorem: by Chebotarev, if gap g's
+        Galois group is as large as f_g's symmetry allows (S_g for odd g,
+        the signed permutations of g/2 pairs for even g), a root exists
+        with probability 1 - sum_{k<=g} (-1)^k/k!, or 1 - sum_{k<=g/2}
+        (-1)^k/(2^k k!).  The list is fixed, the first 1 000 stage-2
+        survivors above 10^6, so the test is deterministic; the 4 sigma
+        bound is statistical, sigma = sqrt(q(1-q)/1000), about 0.015.  A
+        wrong gap polynomial, or a lift that skips roots past the first,
+        moves a share far outside it.
+        """
+        survivors = count_filters(10**6, 10**6 + 400000).stage2_survivors[:1000]
+        assert (len(survivors), survivors[-1]) == (1000, 1291117)
+        for g in (5, 7, 9, 11, 13, 8, 10, 12, 14, 16):
+            if g % 2:
+                law = 1 - sum((-1) ** k / math.factorial(k) for k in range(g + 1))
+            else:
+                law = 1 - sum((-1) ** k / (2**k * math.factorial(k)) for k in range(g // 2 + 1))
+            share = sum(gap_witness(g, p) is not None for p in survivors) / len(survivors)
+            sigma = math.sqrt(law * (1 - law) / len(survivors))
+            assert abs(share - law) <= 4 * sigma, (g, share, law)
 
 
 @pytest.fixture(scope="module")
