@@ -6,12 +6,12 @@ at any point and simply rerun with the same arguments: the checkpoint
 carries the committed high-water mark, the counters and the results
 offset, and the finished results file is byte-identical to what one
 uninterrupted run would have written.  A resume writes to --out when
-given, else to the checkpoint's results file.  A checkpoint of another
-range than [7, --to), or one its results file does not match, is refused
-with exit 1, as is a leg whose pool lost a worker (rerun to resume); a
-bad argument such as --threads 0, or an --out that is the checkpoint,
-ends with exit 64.  --threads defaults as socprimes search does: to
-SOCPRIMES_THREADS, else the CPU count.
+given, else to the checkpoint's results file.  It exits as socprimes
+search does: 1 for a checkpoint of another range than [7, --to) or one
+its results file does not match, an I/O error, or a leg whose pool lost
+a worker (rerun to resume); 64 for a bad argument such as --threads 0 or
+an --out that is the checkpoint.  --threads defaults as socprimes search
+does: to SOCPRIMES_THREADS, else the CPU count.
 
     python3 scripts/search_billion.py --threads 4
     python3 scripts/search_billion.py --threads 4   # picks up where it left off
@@ -23,7 +23,7 @@ import sys
 import time
 
 from socprimes import PrimeRange, SearchConfig, resume, search
-from socprimes.cli import _default_threads
+from socprimes.cli import _RUNTIME_ERRORS, _default_threads
 
 
 def progress_line(report) -> str:
@@ -60,14 +60,13 @@ def main() -> int:
         print(f"resuming from {args.checkpoint}")
         report = leg()
     else:
-        config = SearchConfig(
+        report = search(SearchConfig(
             range=PrimeRange(7, args.to),
             output_path=args.out or "billion.jsonl",
             threads=threads,
             checkpoint_path=args.checkpoint,
             stop_after_segments=args.segments_per_leg,
-        )
-        report = search(config)
+        ))
 
     while not report.complete:
         print(progress_line(report), flush=True)
@@ -86,7 +85,7 @@ def main() -> int:
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except RuntimeError as exc:  # CheckpointError, or BrokenProcessPool when a worker dies
+    except _RUNTIME_ERRORS as exc:
         sys.exit(f"error: {exc}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

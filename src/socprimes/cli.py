@@ -28,6 +28,9 @@ from .verifier import VerdictKind, verify_distinct
 
 __all__ = ["LABELS", "main"]
 
+#: Exit 1 here and in scripts/search_billion.py; CheckpointError and BrokenProcessPool are RuntimeErrors.
+_RUNTIME_ERRORS = (RuntimeError, OSError, MemoryError, ArithmeticError)
+
 #: Report label of each counter, keyed by its name in Counters and FilterCounts.
 LABELS = {
     "examined": "examined",
@@ -98,15 +101,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     else:
         if args.lo is None or args.hi is None:
             args.parser.error("--from and --to are required unless resuming from a checkpoint")
-        # the two sizes default to None so that a resume can tell "not given"
-        # from a value the checkpoint must match
+        # the two sizes and --strict-cubic default to None so that a resume can
+        # tell "not given" from a value the checkpoint must match
         segment_size = DEFAULT_SEGMENT_SIZE if args.segment_size is None else args.segment_size
         interval = SearchConfig.checkpoint_interval if args.checkpoint_interval is None else args.checkpoint_interval
         config = SearchConfig(
             range=PrimeRange(args.lo, args.hi, segment_size),
             output_path=args.out or "results.jsonl",
             threads=threads,
-            strict_cubic=args.strict_cubic,
+            strict_cubic=bool(args.strict_cubic),
             checkpoint_path=args.checkpoint,
             checkpoint_interval=interval,
             stop_after_segments=args.stop_after_segments,
@@ -235,8 +238,8 @@ def _build_parser() -> _Parser:
                     help="worker processes (default SOCPRIMES_THREADS, else CPU count)")
     sp.add_argument("--segment-size", type=int, metavar="N",
                     help=f"segment width (default {DEFAULT_SEGMENT_SIZE}; a resume must match the checkpoint's)")
-    sp.add_argument("--strict-cubic", action="store_true",
-                    help="test every cubic root even when (1957/p) = +1")
+    sp.add_argument("--strict-cubic", action="store_true", default=None,
+                    help="test every cubic root even when (1957/p) = +1 (a resume must match the checkpoint's)")
     sp.add_argument("--stop-after-segments", type=int, metavar="N",
                     help="commit N segments, rounded up to a multiple of --threads, write a checkpoint, and stop")
     sp.add_argument("--json", action="store_true", help="emit the final report as JSON")
@@ -281,8 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 64
-    # RuntimeError: CheckpointError, or BrokenProcessPool when a worker dies
-    except (RuntimeError, OSError, MemoryError, ArithmeticError) as exc:
+    except _RUNTIME_ERRORS as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 1
 

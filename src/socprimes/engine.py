@@ -170,7 +170,8 @@ class SearchConfig:
     stop_after_segments is a cooperative interrupt: the run commits that
     many segments rounded up to a multiple of threads (fewer where the
     range ends first), writes a checkpoint and returns a partial report.
-    It exists so interruption and resume are testable without signals.
+    It exists so interruption and resume are testable without signals,
+    and scripts/search_billion.py runs its legs with it.
     """
 
     range: PrimeRange
@@ -451,7 +452,7 @@ def _in_order(args: Iterator[tuple], width: int) -> Iterator[tuple]:
 
 
 def _run(config: SearchConfig, report: RangeReport, out, digest: hashlib._Hash, started: float) -> RangeReport:
-    """Run report's search from its completed_through on; digest is the sha256 of out so far."""
+    """Run report's search from its completed_through on; digest is out's sha256 so far; the caller closes out."""
     sqrt_limit = isqrt(max(report.hi - 1, 2))
     _base_primes(sqrt_limit)  # warm before forking so workers inherit it
     size, threads = config.range.segment_size, config.threads
@@ -467,23 +468,23 @@ def _run(config: SearchConfig, report: RangeReport, out, digest: hashlib._Hash, 
     )
     results = _in_order(args, workers) if workers > 1 else (_segment_task(a) for a in args)
     prior_seconds = report.wall_seconds
+
+    def persist() -> None:
+        # durable results first, so a checkpoint never names bytes a crash can lose
+        out.flush()
+        os.fsync(out.fileno())
+        report.wall_seconds = prior_seconds + time.monotonic() - started
+        if config.checkpoint_path:
+            _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
+
     try:
         for committed, (seg_hi, counters, records) in enumerate(results, 1):
             digest.update(_commit(report, out, counters, records, seg_hi))
             if config.checkpoint_path and committed % config.checkpoint_interval == 0:
-                out.flush()
-                os.fsync(out.fileno())
-                report.wall_seconds = prior_seconds + time.monotonic() - started
-                _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
-        out.flush()
-        os.fsync(out.fileno())
+                persist()
     finally:
         results.close()
-        out.close()
-
-    report.wall_seconds = prior_seconds + time.monotonic() - started
-    if config.checkpoint_path:
-        _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
+    persist()
 
     if not report.counters.partitioned():
         raise RuntimeError("counter partition violated; search state is corrupt")
@@ -497,12 +498,13 @@ def search(config: SearchConfig) -> RangeReport:
     lo, hi = domain(config.range.lo, config.range.hi)
     report = RangeReport(lo=lo, hi=hi, completed_through=lo, counters=Counters(), socialist_primes=[],
                          output_path=config.output_path)
-    return _run(config, report, open(config.output_path, "wb"), _sha256(), started)
+    with open(config.output_path, "wb") as out:
+        return _run(config, report, out, _sha256(), started)
 
 
 def resume(checkpoint_path: str, output_path: str | None = None,
            threads: int | None = None, stop_after_segments: int | None = None, *,
-           lo: int | None = None, hi: int | None = None, strict_cubic: bool = False,
+           lo: int | None = None, hi: int | None = None, strict_cubic: bool | None = None,
            segment_size: int | None = None, checkpoint_interval: int | None = None) -> RangeReport:
     """Continue a checkpointed search to completion (or the next stop).
 
@@ -510,9 +512,11 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     checkpoint written for another one raises CheckpointError before any
     file is opened: lo and hi, where given, must match the checkpoint's
     range once clamped the way search clamps them (the other end defaults
-    to the checkpoint's); strict_cubic=True needs a checkpoint of a strict
-    search; segment_size and checkpoint_interval, where given, must equal
-    the checkpoint's, since the run takes both from it.
+    to the checkpoint's); strict_cubic, segment_size and
+    checkpoint_interval, where given, must equal the checkpoint's, since
+    the run takes all three from it.  So strict_cubic=True needs a
+    checkpoint of a strict search, and strict_cubic=False one of a search
+    without.
 
     The results file must start with the bytes the checkpoint committed
     (same record count and sha256), and anything past them must look like
@@ -530,9 +534,8 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     if want != have:
         raise CheckpointError(f"checkpoint {checkpoint_path} is for the range [{have[0]}, {have[1]}), "
                               f"not [{want[0]}, {want[1]})")
-    if strict_cubic and not payload["strict_cubic"]:
-        raise CheckpointError(f"checkpoint {checkpoint_path} is for a search without strict cubic checking")
-    for key, given in (("segment_size", segment_size), ("checkpoint_interval", checkpoint_interval)):
+    for key, given in (("strict_cubic", strict_cubic), ("segment_size", segment_size),
+                       ("checkpoint_interval", checkpoint_interval)):
         if given is not None and given != payload[key]:
             raise CheckpointError(f"checkpoint {checkpoint_path} has {key} {payload[key]}, not {given}")
     out_path = output_path or payload["output_path"]
@@ -553,33 +556,29 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     )
     _validate_config(config)
 
-    if offset == 0 and not os.path.exists(out_path):
-        out = open(out_path, "wb")
-    else:
-        try:
-            out = open(out_path, "r+b")
-        except OSError as exc:
-            raise CheckpointError(f"results file {out_path} is missing: {exc}") from exc
+    try:
+        out = open(out_path, "r+b" if offset or os.path.exists(out_path) else "wb")
+    except OSError as exc:
+        raise CheckpointError(f"results file {out_path} cannot be opened: {exc}") from exc
+    with out:
         if os.fstat(out.fileno()).st_size < offset:
-            out.close()
             raise CheckpointError(f"results file {out_path} is shorter than the checkpoint's offset")
-    digest, records = _read_prefix(out, offset)
-    if records != payload["output_records"] or digest.hexdigest() != payload["output_sha256"]:
-        out.close()
-        raise CheckpointError(
-            f"results file {out_path} does not start with the {payload['output_records']} records "
-            f"the checkpoint committed (found {records} lines, sha256 {digest.hexdigest()})"
-        )
-    if not _tail_is_ours(out, payload["completed_through"], payload["hi"]):
-        out.close()
-        raise CheckpointError(
-            f"results file {out_path} holds bytes past the checkpoint's offset that are not "
-            f"this run's records of primes in [{payload['completed_through']}, {payload['hi']})"
-        )
-    out.seek(offset)
-    out.truncate()
+        digest, records = _read_prefix(out, offset)
+        if records != payload["output_records"] or digest.hexdigest() != payload["output_sha256"]:
+            raise CheckpointError(
+                f"results file {out_path} does not start with the {payload['output_records']} records "
+                f"the checkpoint committed (found {records} lines, sha256 {digest.hexdigest()})"
+            )
+        if not _tail_is_ours(out, payload["completed_through"], payload["hi"]):
+            raise CheckpointError(
+                f"results file {out_path} holds bytes past the checkpoint's offset that are not "
+                f"this run's records of primes in [{payload['completed_through']}, {payload['hi']})"
+            )
+        out.seek(offset)
+        out.truncate()
 
-    report = RangeReport(payload["lo"], payload["hi"], payload["completed_through"],
-                         Counters.from_dict(payload["counters"]), payload["socialist"], out_path,
-                         wall_seconds=payload["elapsed"], resumed=True, output_offset=offset, output_records=records)
-    return _run(config, report, out, digest, started)
+        report = RangeReport(payload["lo"], payload["hi"], payload["completed_through"],
+                             Counters.from_dict(payload["counters"]), payload["socialist"], out_path,
+                             wall_seconds=payload["elapsed"], resumed=True, output_offset=offset,
+                             output_records=records)
+        return _run(config, report, out, digest, started)

@@ -780,6 +780,86 @@ class TestCheckpointValidation:
         assert [f.read_bytes() for f in files] == before
 
 
+def starve_and_record_opens(monkeypatch):
+    """Make _base_primes, which _run calls before its first segment, raise MemoryError.
+
+    Returns the list of every file engine opens from then on, collected
+    through a module-level open that shadows the builtin.
+    """
+    def no_memory(limit):
+        raise MemoryError(f"no memory for the primes below {limit}")
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(engine, "_base_primes", no_memory)
+    monkeypatch.setattr(engine, "open", recording_open, raising=False)
+    return opened
+
+
+class TestFailureBeforeTheFirstSegment:
+    def test_search_closes_its_results_file(self, tmp_path, monkeypatch):
+        opened = starve_and_record_opens(monkeypatch)
+        with pytest.raises(MemoryError, match="no memory"):
+            run_search(tmp_path, 7, 9000)
+        assert [fh.name for fh in opened] == [str(tmp_path / "out.jsonl")]
+        assert all(fh.closed for fh in opened)
+
+    def test_resume_closes_its_results_file(self, tmp_path, monkeypatch):
+        ckpt, payload = make_checkpoint(tmp_path)
+        opened = starve_and_record_opens(monkeypatch)
+        with pytest.raises(MemoryError, match="no memory"):
+            resume(ckpt)
+        assert payload["output_path"] in [fh.name for fh in opened]
+        assert all(fh.closed for fh in opened)
+
+    def test_cli_exits_one(self, tmp_path, monkeypatch, capsys):
+        starve_and_record_opens(monkeypatch)
+        argv = ["search", "--from", "7", "--to", "9000", "--out", str(tmp_path / "o.jsonl"), "--threads", "1"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("socprimes: no memory") and len(err.splitlines()) == 1
+
+
+class TestStrictCheckpoint:
+    """A checkpoint of a strict_cubic search, stopped after 2 of its 18 segments."""
+
+    @pytest.fixture
+    def stopped(self, tmp_path):
+        strict = run_search(tmp_path, 7, 9000, name="full.jsonl", segment_size=512, strict_cubic=True)
+        loose = run_search(tmp_path, 7, 9000, name="loose.jsonl", segment_size=512)
+        want = Path(strict.output_path).read_bytes()
+        assert want != Path(loose.output_path).read_bytes()  # strictness shows in the bytes
+        ckpt, part = tmp_path / "strict.ckpt", tmp_path / "part.jsonl"
+        run_search(tmp_path, 7, 9000, name=part.name, segment_size=512, strict_cubic=True,
+                   checkpoint_path=str(ckpt), stop_after_segments=2)
+        assert json.loads(ckpt.read_text())["strict_cubic"] is True
+        return ckpt, part, want
+
+    def test_non_strict_resume_is_refused_before_any_file_is_opened(self, tmp_path, stopped):
+        ckpt, part, _ = stopped
+        before = ckpt.read_bytes(), part.read_bytes()
+        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ has strict_cubic True, not False$"):
+            resume(str(ckpt), strict_cubic=False)
+        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ has strict_cubic True, not False$"):
+            resume(str(ckpt), output_path=str(tmp_path / "new.jsonl"), strict_cubic=False)
+        assert not (tmp_path / "new.jsonl").exists()
+        assert (ckpt.read_bytes(), part.read_bytes()) == before
+
+    @pytest.mark.parametrize("how", ["resume", "cli", "cli-strict-cubic"])
+    def test_resume_finishes_strict(self, capsys, stopped, how):
+        ckpt, part, want = stopped
+        if how == "resume":
+            assert resume(str(ckpt)).complete
+        else:
+            flags = ["--strict-cubic"] if how == "cli-strict-cubic" else []
+            assert main(["search", "--checkpoint", str(ckpt), "--threads", "1", *flags]) == 0
+        assert part.read_bytes() == want
+
+
 class TestScanGuards:
     """_scan's checks on a candidate's verdict, with the scan and the recheck stubbed."""
 

@@ -86,6 +86,14 @@ def test_search_billion_refuses_a_checkpoint_it_cannot_resume(tmp_path, damage):
     assert [(tmp_path / name).read_bytes() for name in ("billion.jsonl", "billion.ckpt")] == before
 
 
+def test_search_billion_results_file_it_cannot_open_exits_one(tmp_path):
+    done = run_script("search_billion.py", "--to", "300000", "--threads", "1",
+                      "--out", str(tmp_path / "missing" / "x.jsonl"), cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []  # no checkpoint either
+
+
 @pytest.mark.parametrize("args, env", [
     (("--to", "5"), ()),
     (("--threads", "0"), ()),
