@@ -16,8 +16,7 @@ p = 1425 and 0.0 from p = 1497, well inside the range a search covers.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .primes import PrimeRange, enumerate_primes
 
@@ -39,15 +38,13 @@ TABLE_LIMIT = 1 << 28
 DEFAULT_HISTOGRAM_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class FpHistogram:
-    """F-value counts over all primes in [5, limit)."""
+class FpHistogram(namedtuple("FpHistogram", "limit counts primes_scanned min_f min_f_primes")):
+    """F-value counts over all primes in [5, limit).
 
-    limit: int
-    counts: dict[int, int]
-    primes_scanned: int
-    min_f: int | None
-    min_f_primes: tuple[int, ...]
+    min_f is the least F value (None for no primes), min_f_primes the tuple of primes at it.
+    """
+
+    __slots__ = ()
 
 
 def fp_statistic(p: int) -> int:
@@ -65,7 +62,7 @@ def fp_statistic(p: int) -> int:
     for n in range(1, p):
         f = f * n % p
         table[f] = 1
-    return p - sum(table)
+    return table.count(0)
 
 
 def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_BUDGET) -> FpHistogram:
@@ -104,8 +101,7 @@ def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_B
     )
 
 
-@dataclass(frozen=True)
-class HeuristicEstimate:
+class HeuristicEstimate(namedtuple("HeuristicEstimate", "p log_exact limit_exponent")):
     """Survival probability for one p, held only as logs (see the module notes).
 
     log_exact is ln of (1 - 1/p)^((p-3)(p-4)/2); limit_exponent is the
@@ -113,9 +109,7 @@ class HeuristicEstimate:
     both are subnormal from p = 1425, and the first is 0.0 from p = 1497.
     """
 
-    p: int
-    log_exact: float
-    limit_exponent: int
+    __slots__ = ()
 
 
 def scientific_from_log(ln_x: float) -> tuple[float, int]:

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .analytics import (
     DEFAULT_HISTOGRAM_BUDGET,
@@ -21,7 +20,7 @@ from .analytics import (
     heuristic,
     scientific_from_log,
 )
-from .engine import RangeReport, SearchConfig, count_filters, resume, search
+from .engine import DEFAULT_CHECKPOINT_INTERVAL, RangeReport, SearchConfig, count_filters, resume, search
 from .filters import OUTCOMES
 from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange
 from .verifier import VerdictKind, verify_distinct
@@ -104,7 +103,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         # the two sizes and --strict-cubic default to None so that a resume can
         # tell "not given" from a value the checkpoint must match
         segment_size = DEFAULT_SEGMENT_SIZE if args.segment_size is None else args.segment_size
-        interval = SearchConfig.checkpoint_interval if args.checkpoint_interval is None else args.checkpoint_interval
+        interval = DEFAULT_CHECKPOINT_INTERVAL if args.checkpoint_interval is None else args.checkpoint_interval
         config = SearchConfig(
             range=PrimeRange(args.lo, args.hi, segment_size),
             output_path=args.out or "results.jsonl",
@@ -125,7 +124,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     verdict = verify_distinct(args.p)
     if args.json:
-        print(json.dumps({**asdict(verdict), "kind": verdict.kind.value}))
+        print(json.dumps({**verdict._asdict(), "kind": verdict.kind.value}))
     else:
         p = verdict.p
         if verdict.kind is VerdictKind.COLLISION:
@@ -139,7 +138,7 @@ def _cmd_filter_counts(args: argparse.Namespace) -> int:
     PrimeRange(args.lo, args.hi)  # refuses the ranges search refuses
     counts = count_filters(args.lo, args.hi, strict=args.strict_cubic)
     if args.json:
-        print(json.dumps(asdict(counts)))
+        print(json.dumps(counts._asdict()))
         return 0
     print(f"{'primes examined':<20}{counts.examined}")
     for name in OUTCOMES:
@@ -233,7 +232,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", metavar="PATH", help="results JSONL file (default results.jsonl, or the checkpoint's)")
     sp.add_argument("--checkpoint", metavar="PATH", help="checkpoint file; if it exists the run resumes from it")
     sp.add_argument("--checkpoint-interval", type=int, metavar="SEGS",
-                    help="segments between checkpoint writes (default 16; a resume must match the checkpoint's)")
+                    help=f"segments between checkpoint writes (default {DEFAULT_CHECKPOINT_INTERVAL}; "
+                         "a resume must match the checkpoint's)")
     sp.add_argument("--threads", type=int, metavar="N",
                     help="worker processes (default SOCPRIMES_THREADS, else CPU count)")
     sp.add_argument("--segment-size", type=int, metavar="N",

@@ -32,7 +32,8 @@ returns it.  A checkpoint is a small JSON document naming the range, the
 committed high-water mark, the counters, and the byte length, record
 count and sha256 of the results file at commit time.  Writes are atomic
 (tmp file + os.replace), and a results path that is the checkpoint or
-its tmp file is refused before any file is opened.  Resume enforces what
+its tmp file, or a checkpoint in a directory that does not exist, is
+refused before any file is opened.  Resume enforces what
 the checkpoint is for: given the range, strict_cubic or either size, it
 refuses a checkpoint of another search before it opens the results file.
 It then checks the file's committed prefix against that count and digest
@@ -50,8 +51,8 @@ import functools
 import json
 import os
 import time
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import astuple, dataclass, fields
 from itertools import count, islice
 from math import isfinite, isqrt
 
@@ -82,6 +83,8 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 2
+
+DEFAULT_CHECKPOINT_INTERVAL = 16
 
 #: Every checkpoint key resume reads, with its JSON type.  Other keys (such
 #: as the scan strategy block older checkpoints carry) are ignored.
@@ -114,7 +117,6 @@ class CheckpointError(RuntimeError):
     """Checkpoint file missing, malformed, or inconsistent with its outputs."""
 
 
-@dataclass
 class Counters:
     """Per-outcome tallies.
 
@@ -126,32 +128,44 @@ class Counters:
     the benchmark's reference counters all carry it.
     """
 
-    examined: int = 0
-    rejected_mod8: int = 0
-    rejected_legendre5: int = 0
-    rejected_legendre23: int = 0
-    rejected_cubic: int = 0
-    collisions: int = 0
-    neg_half_hits: int = 0
-    socialist: int = 0
+    __slots__ = ("examined", "rejected_mod8", "rejected_legendre5", "rejected_legendre23", "rejected_cubic",
+                 "collisions", "neg_half_hits", "socialist")
+
+    def __init__(self, examined: int = 0, rejected_mod8: int = 0, rejected_legendre5: int = 0,
+                 rejected_legendre23: int = 0, rejected_cubic: int = 0, collisions: int = 0,
+                 neg_half_hits: int = 0, socialist: int = 0) -> None:
+        self.examined = examined
+        self.rejected_mod8 = rejected_mod8
+        self.rejected_legendre5 = rejected_legendre5
+        self.rejected_legendre23 = rejected_legendre23
+        self.rejected_cubic = rejected_cubic
+        self.collisions = collisions
+        self.neg_half_hits = neg_half_hits
+        self.socialist = socialist
+
+    def __eq__(self, other: object) -> bool:
+        return self.as_dict() == other.as_dict() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Counters({', '.join(f'{name}={value!r}' for name, value in self.as_dict().items())})"
 
     def merge(self, other: Counters) -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_dict(cls, d: dict[str, int]) -> Counters:
-        values = {f.name: d.get(f.name) for f in fields(cls)}
+        values = {name: d.get(name) for name in cls.__slots__}
         bad = [name for name, v in values.items() if type(v) is not int or v < 0]
         if bad:
             raise CheckpointError(f"bad counters block: {', '.join(bad)} not non-negative integers")
         return cls(**values)
 
     def partitioned(self) -> bool:
-        examined, *outcomes = astuple(self)
+        examined, *outcomes = self.as_dict().values()
         return examined == sum(outcomes)
 
     @property
@@ -163,9 +177,12 @@ class Counters:
         return self.collisions + self.neg_half_hits + self.socialist
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(namedtuple("SearchConfig", "range output_path threads strict_cubic checkpoint_path "
+                              "checkpoint_interval stop_after_segments",
+                              defaults=(1, False, None, DEFAULT_CHECKPOINT_INTERVAL, None))):
     """One search run: what range, where results go, how hard to push.
+
+    range is a PrimeRange; a checkpoint_path of None writes no checkpoint.
 
     stop_after_segments is a cooperative interrupt: the run commits that
     many segments rounded up to a multiple of threads (fewer where the
@@ -174,16 +191,9 @@ class SearchConfig:
     and scripts/search_billion.py runs its legs with it.
     """
 
-    range: PrimeRange
-    output_path: str
-    threads: int = 1
-    strict_cubic: bool = False
-    checkpoint_path: str | None = None
-    checkpoint_interval: int = 16
-    stop_after_segments: int | None = None
+    __slots__ = ()
 
 
-@dataclass
 class RangeReport:
     """A search's state while it runs, and what it established once it returns.
 
@@ -194,24 +204,30 @@ class RangeReport:
     which the checkpoint stores next to its sha256.
     """
 
-    lo: int
-    hi: int
-    completed_through: int
-    counters: Counters
-    socialist_primes: list[int]
-    output_path: str
-    wall_seconds: float = 0.0
-    resumed: bool = False
-    output_offset: int = 0
-    output_records: int = 0
+    __slots__ = ("lo", "hi", "completed_through", "counters", "socialist_primes", "output_path",
+                 "wall_seconds", "resumed", "output_offset", "output_records")
+
+    def __init__(self, lo: int, hi: int, completed_through: int, counters: Counters, socialist_primes: list[int],
+                 output_path: str, wall_seconds: float = 0.0, resumed: bool = False, output_offset: int = 0,
+                 output_records: int = 0) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.completed_through = completed_through
+        self.counters = counters
+        self.socialist_primes = socialist_primes
+        self.output_path = output_path
+        self.wall_seconds = wall_seconds
+        self.resumed = resumed
+        self.output_offset = output_offset
+        self.output_records = output_records
 
     @property
     def complete(self) -> bool:
         return self.completed_through >= self.hi
 
 
-@dataclass
-class FilterCounts:
+class FilterCounts(namedtuple("FilterCounts", "lo hi examined rejected_mod8 rejected_legendre5 "
+                              "rejected_legendre23 rejected_cubic candidates stage1_survivors stage2_survivors")):
     """Aggregate pipeline statistics over a prime range.
 
     stage1_survivors are the primes that reached stage 2 (they passed the
@@ -219,16 +235,7 @@ class FilterCounts:
     the cubic stage and are the candidates a verifier must scan.
     """
 
-    lo: int
-    hi: int
-    examined: int
-    rejected_mod8: int
-    rejected_legendre5: int
-    rejected_legendre23: int
-    rejected_cubic: int
-    candidates: int
-    stage1_survivors: list[int]
-    stage2_survivors: list[int]
+    __slots__ = ()
 
 
 def _validate_config(config: SearchConfig) -> None:
@@ -245,6 +252,9 @@ def _validate_config(config: SearchConfig) -> None:
             raise ValueError("stop_after_segments must be >= 1")
         if config.checkpoint_path is None:
             raise ValueError("stop_after_segments without a checkpoint would strand the partial run")
+    # an OSError, as opening the results file there would raise, but before any segment runs
+    if config.checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(config.checkpoint_path))):
+        raise FileNotFoundError(f"the directory of checkpoint {config.checkpoint_path} does not exist")
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ O(segment_size + sqrt(hi)) no matter how wide the range is.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
@@ -23,21 +23,19 @@ def small_primes(limit: int) -> list[int]:
     return list(primes_in_segment(2, limit + 1, base))
 
 
-@dataclass(frozen=True)
-class PrimeRange:
+class PrimeRange(namedtuple("PrimeRange", "lo hi segment_size")):
     """Half-open search interval [lo, hi) walked in fixed-width segments."""
 
-    lo: int
-    hi: int
-    segment_size: int = DEFAULT_SEGMENT_SIZE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lo < 0 or self.hi < self.lo:
-            raise ValueError(f"bad range [{self.lo}, {self.hi})")
-        if self.hi > 1 << 63:
+    def __new__(cls, lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeRange:
+        if lo < 0 or hi < lo:
+            raise ValueError(f"bad range [{lo}, {hi})")
+        if hi > 1 << 63:
             raise ValueError("hi exceeds 2^63")
-        if self.segment_size < 2:
+        if segment_size < 2:
             raise ValueError("segment_size must be at least 2")
+        return super().__new__(cls, lo, hi, segment_size)
 
     def segments(self) -> Iterator[tuple[int, int]]:
         """Yield consecutive (seg_lo, seg_hi) slices covering [lo, hi)."""

@@ -34,7 +34,7 @@ math.perm product per reduction, and shares no state with the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import isqrt, perm
 
@@ -56,8 +56,7 @@ class VerdictKind(Enum):
     COLLISION = "Collision"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "p kind j k residue scanned_up_to", defaults=(None, None, None, 0))):
     """Outcome of one distinctness scan.
 
     j, k and residue are populated for Collision (j! == k! == residue)
@@ -65,12 +64,7 @@ class Verdict:
     factorial was examined.
     """
 
-    p: int
-    kind: VerdictKind
-    j: int | None = None
-    k: int | None = None
-    residue: int | None = None
-    scanned_up_to: int = 0
+    __slots__ = ()
 
 
 def default_cap(p: int) -> int:

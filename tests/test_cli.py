@@ -169,6 +169,14 @@ class TestSearch:
         assert (ckpt.read_bytes(), part.read_bytes()) == before
         assert not ckpt.with_name(ckpt.name + ".tmp").exists()
 
+    def test_checkpoint_in_a_missing_directory_is_runtime_error(self, capsys, tmp_path):
+        # refused before the results file is opened, as an --out there would be
+        argv = ["search", "--from", "7", "--to", "3000", "--out", str(tmp_path / "x.jsonl"),
+                "--checkpoint", str(tmp_path / "missing" / "x.ckpt"), "--threads", "1"]
+        assert main(argv) == 1
+        assert "does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_checkpoint_is_runtime_error(self, capsys, tmp_path):
         ckpt = tmp_path / "c.json"
         ckpt.write_text("not json{")

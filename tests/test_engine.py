@@ -7,6 +7,7 @@ import json
 import logging
 import multiprocessing
 import os
+import pickle
 import random
 import shutil
 import signal
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socprimes import engine
+from socprimes.analytics import fp_histogram, heuristic
 from socprimes.cli import main
 from socprimes.engine import (
     CHECKPOINT_VERSION,
@@ -35,7 +37,14 @@ from socprimes.engine import (
     search,
 )
 from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange, small_primes
-from socprimes.verifier import Verdict, VerdictKind, factorial_mod, recheck_witness, scan_bitset
+from socprimes.verifier import (
+    Verdict,
+    VerdictKind,
+    factorial_mod,
+    recheck_witness,
+    scan_bitset,
+    verify_distinct,
+)
 
 NOT_OBJECTS = ([], [7, 3000], "checkpoint", 7, 7.5, None, True)
 WRONG_TYPES = (None, "7", 7.5, True, [7], {"lo": 7})
@@ -85,6 +94,32 @@ class TestCounters:
     def test_from_dict_rejects_gaps(self):
         with pytest.raises(CheckpointError):
             Counters.from_dict({"examined": 3})
+
+    def test_equality_repr_and_pickle(self):
+        c = Counters(examined=4, rejected_mod8=1, collisions=3)
+        assert c == Counters(4, 1, 0, 0, 0, 3) and c != Counters(examined=4, rejected_mod8=1, socialist=3)
+        assert c != tuple(c.as_dict().values()) and c != c.as_dict()
+        assert repr(c) == ("Counters(examined=4, rejected_mod8=1, rejected_legendre5=0, rejected_legendre23=0, "
+                           "rejected_cubic=0, collisions=3, neg_half_hits=0, socialist=0)")
+        # how a pool worker hands a segment's counters back
+        assert pickle.loads(pickle.dumps(c)) == c
+
+
+@pytest.mark.parametrize("record, name", [
+    (verify_distinct(7), "p"),
+    (PrimeRange(7, 100), "lo"),
+    (SearchConfig(PrimeRange(7, 100), "x.jsonl"), "threads"),
+    (count_filters(7, 100), "examined"),
+    (fp_histogram(100), "min_f"),
+    (heuristic(7), "limit_exponent"),
+], ids=["Verdict", "PrimeRange", "SearchConfig", "FilterCounts", "FpHistogram", "HeuristicEstimate"])
+def test_frozen_record_refuses_assignment(record, name):
+    value = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 11)
+    with pytest.raises(AttributeError):
+        record.extra = 11
+    assert getattr(record, name) is value
 
 
 class TestFrozenRange:

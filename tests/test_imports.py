@@ -26,8 +26,9 @@ print("\\n".join(sorted(m for m in set(sys.modules) - before if sys.modules[m] i
 """
 
 #: Top-level stdlib packages that a threads=1 search, verify, filter-counts
-#: and fp_histogram(jobs=1) never use: the pool, what it pulls in, and typing.
-COLD = {"concurrent", "multiprocessing", "threading", "logging", "typing"}
+#: and fp_histogram(jobs=1) never use: the pool, what it pulls in, typing,
+#: and dataclasses with the inspect it imports.
+COLD = {"concurrent", "multiprocessing", "threading", "logging", "typing", "dataclasses", "inspect"}
 
 POOLED = """
 import os, sys, tempfile

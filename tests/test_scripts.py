@@ -94,6 +94,14 @@ def test_search_billion_results_file_it_cannot_open_exits_one(tmp_path):
     assert list(tmp_path.iterdir()) == []  # no checkpoint either
 
 
+def test_search_billion_checkpoint_it_cannot_write_exits_one(tmp_path):
+    done = run_script("search_billion.py", "--to", "3000", "--threads", "1", "--out", "nodir.jsonl",
+                      "--checkpoint", str(tmp_path / "missing" / "x.ckpt"), cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []  # refused before any segment ran, so no results file
+
+
 @pytest.mark.parametrize("args, env", [
     (("--to", "5"), ()),
     (("--threads", "0"), ()),
