@@ -16,10 +16,12 @@ measures F(p) and the vanishing heuristic, and cli fronts it all.
 Importing the package loads every module above except cli, and from the
 standard library only what a one-process run executes; not dataclasses
 or inspect (the records are namedtuples, or slotted classes where the
-engine updates them), typing, logging or the process pool.
+engine updates them), typing, json, logging or the process pool.
 concurrent.futures (and with it multiprocessing, threading and logging)
 serves both pooled paths: it loads on the first search with more than
-one worker or the first fp_histogram with jobs > 1.  logging loads when a search commits a socialist verdict.
+one worker or the first fp_histogram with jobs > 1.  json loads on a
+search's first checkpoint write, or a checkpoint read or resume; logging
+when a search commits a socialist verdict.
 """
 
 from .analytics import (

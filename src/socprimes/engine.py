@@ -1,11 +1,12 @@
 """Segment-parallel search driver with checkpointing and resume.
 
 The range is cut into fixed-width segments.  Workers sieve each segment,
-filter its primes and scan the candidates the filters pass
-(count_filters is that filter pass alone, over a whole range); the
-coordinator commits results strictly in segment order, so the output
-stream and every counter are deterministic functions of the range alone,
-independent of thread count and of how the range is segmented.  A leg
+filter its primes, scan the candidates the filters pass (count_filters
+is that filter pass alone, over a whole range) and format the segment's
+results lines; the coordinator appends their bytes strictly in segment
+order, so the output stream and every counter are deterministic
+functions of the range alone, independent of thread count and of how
+the range is segmented.  A leg
 fixes its segments up front and commits every one: all that are left, or
 with stop_after_segments=S at most S rounded up to a multiple of
 threads, min(left, ceil(S/threads) * threads).  It runs min(threads, its
@@ -48,7 +49,6 @@ committed no record yet.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import time
 from collections import namedtuple
@@ -279,32 +279,30 @@ def _filter(primes: Iterable[int], strict: bool) -> tuple[dict[str, int], list[t
     return tally, survivors
 
 
-def _scan(p: int) -> dict:
-    """The record of one candidate: a rechecked Collision, or a Socialist verdict scanned twice."""
-    verdict = verify_distinct(p)
-    if verdict.kind is VerdictKind.COLLISION:
-        if not recheck_witness(p, verdict.j, verdict.k):
-            raise ArithmeticError(f"collision witness for p={p} failed recheck")
-        return {
-            "p": p,
-            "outcome": "Collision",
-            "witness": {"j": verdict.j, "k": verdict.k, "residue": verdict.residue},
-        }
-    confirm = scan_bitset(p)
-    if confirm.kind is not VerdictKind.SOCIALIST:
-        raise ArithmeticError(f"socialist verdict for p={p} failed its confirmation scan")
-    return {"p": p, "outcome": "Socialist"}
+def _segment_task(args: tuple) -> tuple[int, Counters, list[int], bytes, int]:
+    """One segment's seg_hi, counters, socialist primes, results lines (ASCII bytes) and line count.
 
-
-def _segment_task(args: tuple) -> tuple[int, Counters, list[dict]]:
+    Each line is written as its record is made: json.dumps(record, separators=(",", ":")), keys in this order.
+    """
     seg_lo, seg_hi, sqrt_limit, strict = args
     tally, survivors = _filter(primes_in_segment(seg_lo, seg_hi, _base_primes(sqrt_limit)), strict)
-    records = [_scan(p) if witness is None else {"p": p, "outcome": "RejectedCubic", "witness": witness}
-               for p, witness in survivors]
-    socialist = sum(rec["outcome"] == "Socialist" for rec in records)
-    examined = sum(tally.values())
-    candidates = tally.pop("candidates")
-    return seg_hi, Counters(examined, **tally, collisions=candidates - socialist, socialist=socialist), records
+    lines, socialist = [], []
+    for p, witness in survivors:
+        if witness is not None:
+            lines.append(f'{{"p":{p},"outcome":"RejectedCubic","witness":{{"y":{witness["y"]},"x":{witness["x"]}}}}}\n')
+        elif (verdict := verify_distinct(p)).kind is VerdictKind.COLLISION:
+            if not recheck_witness(p, verdict.j, verdict.k):
+                raise ArithmeticError(f"collision witness for p={p} failed recheck")
+            lines.append(f'{{"p":{p},"outcome":"Collision","witness":'
+                         f'{{"j":{verdict.j},"k":{verdict.k},"residue":{verdict.residue}}}}}\n')
+        elif scan_bitset(p).kind is VerdictKind.SOCIALIST:
+            lines.append(f'{{"p":{p},"outcome":"Socialist"}}\n')
+            socialist.append(p)
+        else:
+            raise ArithmeticError(f"socialist verdict for p={p} failed its confirmation scan")
+    examined, candidates = sum(tally.values()), tally.pop("candidates")
+    counters = Counters(examined, **tally, collisions=candidates - len(socialist), socialist=len(socialist))
+    return seg_hi, counters, socialist, "".join(lines).encode("ascii"), len(lines)
 
 
 def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
@@ -341,6 +339,7 @@ def _checkpoint_payload(config: SearchConfig, report: RangeReport, digest: hashl
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
+    import json  # here and in the two readers below: json costs every import about 2 ms
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
         json.dump(payload, fh)
@@ -350,6 +349,7 @@ def _write_checkpoint(path: str, payload: dict) -> None:
 
 
 def _load_checkpoint(path: str) -> dict:
+    import json
     try:
         with open(path, encoding="ascii") as fh:
             payload = json.load(fh)
@@ -400,6 +400,7 @@ def _tail_is_ours(fh, lo: int, hi: int) -> bool:
     increasing; a last line without its newline is a torn write and must
     begin like a record.
     """
+    import json
     last = lo - 1
     for line in fh:
         if not line.endswith(b"\n"):
@@ -414,25 +415,21 @@ def _tail_is_ours(fh, lo: int, hi: int) -> bool:
     return True
 
 
-def _commit(report: RangeReport, out, counters: Counters, records: list[dict], seg_hi: int) -> bytes:
-    """Append one segment's records to out and fold it into report; returns the bytes written."""
-    pieces = []
-    for rec in records:
-        if rec["outcome"] == "Socialist":
-            report.socialist_primes.append(rec["p"])
-            import logging  # here: logging costs every import, and only this verdict logs
+def _commit(report: RangeReport, out, digest: hashlib._Hash, seg_hi: int, counters: Counters,
+            socialist: list[int], data: bytes, lines: int) -> None:
+    """Append one segment's results bytes to out and digest, and fold the segment into report."""
+    for p in socialist:
+        import logging  # here: logging costs every import, and only this verdict logs
 
-            logging.getLogger(__name__).critical(
-                "SOCIALIST PRIME FOUND: p=%d survived a full distinctness scan twice", rec["p"])
-        pieces.append(json.dumps(rec, separators=(",", ":")))
-    data = ("\n".join(pieces) + "\n").encode("ascii") if pieces else b""
-    if data:
-        out.write(data)
-        report.output_offset += len(data)
-        report.output_records += len(pieces)
+        logging.getLogger(__name__).critical(
+            "SOCIALIST PRIME FOUND: p=%d survived a full distinctness scan twice", p)
+    report.socialist_primes.extend(socialist)
+    out.write(data)
+    digest.update(data)
+    report.output_offset += len(data)
+    report.output_records += lines
     report.counters.merge(counters)
     report.completed_through = seg_hi
-    return data
 
 
 def _in_order(args: Iterator[tuple], width: int) -> Iterator[tuple]:
@@ -488,8 +485,8 @@ def _run(config: SearchConfig, report: RangeReport, out, digest: hashlib._Hash, 
             _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
 
     try:
-        for committed, (seg_hi, counters, records) in enumerate(results, 1):
-            digest.update(_commit(report, out, counters, records, seg_hi))
+        for committed, result in enumerate(results, 1):
+            _commit(report, out, digest, *result)
             if config.checkpoint_path and committed % config.checkpoint_interval == 0:
                 persist()
     finally:

@@ -187,6 +187,19 @@ class TestDeterminism:
         assert a.counters == b.counters
         assert Path(a.output_path).read_bytes() == Path(b.output_path).read_bytes()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lines_are_compact_json(self, tmp_path, threads):
+        # the engine writes each line by hand; json itself must write the same bytes
+        report = run_search(tmp_path, 7, 3 * 10**5, segment_size=2**15, threads=threads)
+        lines = Path(report.output_path).read_text(encoding="ascii").splitlines()
+        assert len(lines) == report.output_records == report.counters.stage1_survivors > 0
+        keys = {"RejectedCubic": ["y", "x"], "Collision": ["j", "k", "residue"]}
+        for line in lines:
+            assert line == json.dumps(json.loads(line), separators=(",", ":"))
+            rec = json.loads(line)
+            assert list(rec) == ["p", "outcome", "witness"] and list(rec["witness"]) == keys[rec["outcome"]]
+        assert {json.loads(line)["outcome"] for line in lines} == set(keys)
+
 
 class TestSearchAgreesWithCountFilters:
     """search and count_filters share the filter pass, so they classify every prime alike."""
@@ -895,49 +908,66 @@ class TestStrictCheckpoint:
         assert part.read_bytes() == want
 
 
+#: _segment_task's arguments for the segment [13, 14), whose one prime is a candidate
+SEGMENT_OF_13 = (13, 14, 3, False)
+
+
+@pytest.fixture
+def scanned_socialist(monkeypatch):
+    """Both of engine's scans stubbed to call every prime socialist; the list of scans run."""
+    scans = []
+
+    def scanner(name):
+        def scan(p):
+            scans.append(name)
+            return Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1)
+        return scan
+
+    monkeypatch.setattr(engine, "verify_distinct", scanner("verify_distinct"))
+    monkeypatch.setattr(engine, "scan_bitset", scanner("scan_bitset"))
+    return scans
+
+
 class TestScanGuards:
-    """_scan's checks on a candidate's verdict, with the scan and the recheck stubbed."""
+    """_segment_task's checks on a candidate's verdict, with the scan and the recheck stubbed."""
 
     def test_collision_failing_its_recheck_is_refused(self, monkeypatch):
         monkeypatch.setattr(engine, "recheck_witness", lambda p, j, k: False)
         with pytest.raises(ArithmeticError, match="failed recheck"):
-            engine._scan(13)
+            engine._segment_task(SEGMENT_OF_13)
 
-    def test_confirmed_socialist_verdict(self, monkeypatch):
-        scans = []
-
-        def scanner(name):
-            def scan(p):
-                scans.append(name)
-                return Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1)
-            return scan
-
-        monkeypatch.setattr(engine, "verify_distinct", scanner("verify_distinct"))
-        monkeypatch.setattr(engine, "scan_bitset", scanner("scan_bitset"))
-        assert engine._scan(13) == {"p": 13, "outcome": "Socialist"}
-        assert scans == ["verify_distinct", "scan_bitset"]
+    def test_confirmed_socialist_verdict(self, scanned_socialist):
+        seg_hi, counters, socialist, data, lines = engine._segment_task(SEGMENT_OF_13)
+        assert scanned_socialist == ["verify_distinct", "scan_bitset"]
+        assert json.loads(data.decode("ascii")) == {"p": 13, "outcome": "Socialist"}
+        assert data == (json.dumps({"p": 13, "outcome": "Socialist"}, separators=(",", ":")) + "\n").encode()
+        assert lines == 1
+        assert (seg_hi, socialist) == (14, [13])
+        assert counters == Counters(examined=1, socialist=1)
 
     def test_disagreeing_confirmation_is_refused(self, monkeypatch):
         monkeypatch.setattr(engine, "verify_distinct", lambda p: Verdict(p, VerdictKind.SOCIALIST, scanned_up_to=p - 1))
         monkeypatch.setattr(engine, "scan_bitset", lambda p: Verdict(p, VerdictKind.COLLISION, 2, 7, 2, scanned_up_to=7))
         with pytest.raises(ArithmeticError, match="confirmation scan"):
-            engine._scan(13)
+            engine._segment_task(SEGMENT_OF_13)
 
 
 class TestSocialistPath:
-    def test_commit_logs_and_tracks(self, caplog):
-        report = RangeReport(lo=7, hi=100, completed_through=7, counters=Counters(),
+    def test_commit_logs_and_tracks(self, caplog, scanned_socialist):
+        report = RangeReport(lo=7, hi=100, completed_through=13, counters=Counters(),
                              socialist_primes=[], output_path="out.jsonl")
-        out = io.BytesIO()
-        record = {"p": 5, "outcome": "Socialist"}
+        out, digest = io.BytesIO(), hashlib.sha256()
+        result = engine._segment_task(SEGMENT_OF_13)
+        data = result[3]
         with caplog.at_level(logging.CRITICAL, logger="socprimes.engine"):
-            written = _commit(report, out, Counters(examined=1, socialist=1), [record], seg_hi=100)
-        assert report.socialist_primes == [5]
-        assert "SOCIALIST" in caplog.text
-        assert json.loads(out.getvalue().decode("ascii")) == record
-        assert written == out.getvalue()
-        assert (report.output_offset, report.output_records) == (len(written), 1)
-        assert report.counters.socialist == 1 and report.completed_through == 100
+            _commit(report, out, digest, *result)
+        assert scanned_socialist == ["verify_distinct", "scan_bitset"]
+        assert report.socialist_primes == [13]
+        assert "SOCIALIST PRIME FOUND: p=13" in caplog.text
+        assert json.loads(out.getvalue().decode("ascii")) == {"p": 13, "outcome": "Socialist"}
+        assert out.getvalue() == data and digest.hexdigest() == hashlib.sha256(data).hexdigest()
+        assert (report.output_offset, report.output_records) == (len(data), 1)
+        assert report.counters.socialist == 1 and report.completed_through == 14
 
     def test_verdict_five_is_socialist_shaped(self):
         # the scan machinery itself must keep recognising the one known case

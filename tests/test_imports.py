@@ -70,6 +70,9 @@ def test_import_loads_only_stdlib_and_no_hashlib():
     assert foreign == []
     # engine imports hashlib on first use only: it loads OpenSSL at import
     assert "hashlib" not in loaded
+    # and json on the first checkpoint write, checkpoint read or resume,
+    # since the results lines are formatted without it
+    assert "json" not in loaded
 
 
 def test_import_loads_no_pool_logging_or_typing():
