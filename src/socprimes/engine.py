@@ -1,12 +1,13 @@
 """Segment-parallel search driver with checkpointing and resume.
 
 The range is cut into fixed-width segments.  Workers sieve each segment,
-filter its primes, scan the candidates the filters pass (count_filters
-is that filter pass alone, over a whole range) and format the segment's
-results lines; the coordinator appends their bytes strictly in segment
-order, so the output stream and every counter are deterministic
-functions of the range alone, independent of thread count and of how
-the range is segmented.  A leg
+filter its primes in one pass, filters.segment_outcomes, which reads
+stages 0 and 1 by residue class off the sieve's bytes (count_filters is
+that same pass alone, over a whole range), scan the candidates it passes
+and format the segment's results lines; the coordinator appends their
+bytes strictly in segment order, so the output stream and every counter
+are deterministic functions of the range alone, independent of thread
+count and of how the range is segmented.  A leg
 fixes its segments up front and commits every one: all that are left, or
 with stop_after_segments=S at most S rounded up to a multiple of
 threads, min(left, ceil(S/threads) * threads).  It runs min(threads, its
@@ -52,12 +53,14 @@ import functools
 import os
 import time
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import count, islice
 from math import isfinite, isqrt
 
-from .filters import DOMAIN_START, OUTCOMES, domain, run_pipeline
-from .primes import PrimeRange, enumerate_primes, primes_in_segment, small_primes
+from .filters import DOMAIN_START, OUTCOMES, domain, segment_outcomes
+from .filters import run_pipeline  # unused; kept bound because perfbench/spans.py wraps engine.run_pipeline
+from .primes import PrimeRange, segment_flags, small_primes
+from .primes import primes_in_segment  # unused; kept bound because perfbench/spans.py wraps engine.primes_in_segment
 from .verifier import VerdictKind, recheck_witness, scan_bitset, verify_distinct
 from .verifier import factorial_mod  # unused; kept bound because perfbench/spans.py wraps engine.factorial_mod
 
@@ -263,33 +266,18 @@ def _validate_config(config: SearchConfig) -> None:
 _base_primes = functools.cache(small_primes)
 
 
-def _filter(primes: Iterable[int], strict: bool) -> tuple[dict[str, int], list[tuple[int, dict | None]]]:
-    """run_pipeline on each prime: the tally per OUTCOMES entry and the stage-1 survivors.
-
-    A survivor comes with its witness: the {y, x} of a cubic rejection,
-    None for a candidate.
-    """
-    tally = dict.fromkeys(OUTCOMES, 0)
-    survivors: list[tuple[int, dict | None]] = []
-    for p in primes:
-        outcome, witness = run_pipeline(p, strict)
-        tally[outcome] += 1
-        if outcome == "rejected_cubic" or outcome == "candidates":
-            survivors.append((p, witness))
-    return tally, survivors
-
-
 def _segment_task(args: tuple) -> tuple[int, Counters, list[int], bytes, int]:
     """One segment's seg_hi, counters, socialist primes, results lines (ASCII bytes) and line count.
 
     Each line is written as its record is made: json.dumps(record, separators=(",", ":")), keys in this order.
     """
     seg_lo, seg_hi, sqrt_limit, strict = args
-    tally, survivors = _filter(primes_in_segment(seg_lo, seg_hi, _base_primes(sqrt_limit)), strict)
+    base = _base_primes(sqrt_limit)
+    counts, survivors = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base), strict)
     lines, socialist = [], []
-    for p, witness in survivors:
-        if witness is not None:
-            lines.append(f'{{"p":{p},"outcome":"RejectedCubic","witness":{{"y":{witness["y"]},"x":{witness["x"]}}}}}\n')
+    for p, hit in survivors:
+        if hit is not None:
+            lines.append(f'{{"p":{p},"outcome":"RejectedCubic","witness":{{"y":{hit[0]},"x":{hit[1]}}}}}\n')
         elif (verdict := verify_distinct(p)).kind is VerdictKind.COLLISION:
             if not recheck_witness(p, verdict.j, verdict.k):
                 raise ArithmeticError(f"collision witness for p={p} failed recheck")
@@ -300,20 +288,27 @@ def _segment_task(args: tuple) -> tuple[int, Counters, list[int], bytes, int]:
             socialist.append(p)
         else:
             raise ArithmeticError(f"socialist verdict for p={p} failed its confirmation scan")
-    examined, candidates = sum(tally.values()), tally.pop("candidates")
-    counters = Counters(examined, **tally, collisions=candidates - len(socialist), socialist=len(socialist))
+    *rejected, candidates = counts
+    counters = Counters(sum(counts), *rejected, collisions=candidates - len(socialist), socialist=len(socialist))
     return seg_hi, counters, socialist, "".join(lines).encode("ascii"), len(lines)
 
 
 def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
     """Tally every pipeline outcome for primes in [lo, hi): a search's filter pass alone.
 
-    The primes walked are those in domain(lo, hi), as in a search; the
-    counts still record the lo and hi asked for.
+    The primes walked are those in domain(lo, hi), as in a search, in
+    segments of the default width; the counts still record the lo and hi
+    asked for.
     """
-    tally, survivors = _filter(enumerate_primes(PrimeRange(*domain(lo, hi))), strict)
-    return FilterCounts(lo, hi, sum(tally.values()), **tally, stage1_survivors=[p for p, _ in survivors],
-                        stage2_survivors=[p for p, witness in survivors if witness is None])
+    rng = PrimeRange(*domain(lo, hi))
+    base = small_primes(isqrt(max(rng.hi - 1, 2)))
+    tally, survivors = [0] * len(OUTCOMES), []
+    for seg_lo, seg_hi in rng.segments():
+        counts, hits = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base), strict)
+        tally = [a + b for a, b in zip(tally, counts)]
+        survivors += hits
+    return FilterCounts(lo, hi, sum(tally), *tally, stage1_survivors=[p for p, _ in survivors],
+                        stage2_survivors=[p for p, hit in survivors if hit is None])
 
 
 # ----------------------------------------------------------------------

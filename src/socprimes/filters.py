@@ -16,10 +16,20 @@ the conditions below, so each stage only ever discards safely:
   root y whose 4y+25 is a square to an x with (x+5)! == (x-1)! mod p, an
   explicit collision.  When (1957/p) == +1 the stage passes without root
   work (1957 is this cubic's discriminant, and the only dangerous factor
-  shape has exactly one root, forcing (1957/p) == -1).  _lone_root gives
-  that root in F_p alone, for every p: it is (v-10)/3 with v = u + 28/u,
-  u a cube root of z = (187 + sqrt(-52839))/2, and v is a Lucas number
-  V_a(187, 28^3), over 28 when p == 1 (mod 3).
+  shape has exactly one root, forcing (1957/p) == -1).  As 1957 == 1
+  (mod 4), (1957/p) == (p/1957) for every odd p, so the stage reads it
+  from a table of the 1957 residues, built from jacobi on first use.
+  _lone_root gives that root in F_p alone, for every p: it is (v-10)/3
+  with v = u + 28/u, u a cube root of z = (187 + sqrt(-52839))/2, and v
+  is a Lucas number V_a(187, 28^3), over 28 when p == 1 (mod 3).
+
+Stages 0 and 1 depend on p mod 920 = 8 * 5 * 23 alone, so stage_mod8 and
+stage_legendre are the per-prime definitions, and a table built from them
+on every residue decides a whole segment by class: segment_outcomes
+tallies stages 0 and 1 off the sieve's bytes (primes.segment_flags), one
+strided count or compress per class, and builds ints only for the 22
+classes mod 920 that pass both, which go on to stage_cubic.  run_pipeline
+is the same decision for one prime.
 
 A prime's outcome is the name of the counter it is tallied in, one of
 OUTCOMES.  Stage 2 returns the rejecting root and the lifted x, and
@@ -28,6 +38,9 @@ outcome so callers can hand the collision to independent rechecking.
 """
 
 from __future__ import annotations
+
+import functools
+from itertools import chain, compress
 
 from .modarith import jacobi, sqrt_mod
 # kept under this name because perfbench/spans.py wraps filters.cubic_roots
@@ -43,6 +56,7 @@ __all__ = [
     "stage_legendre",
     "stage_cubic",
     "run_pipeline",
+    "segment_outcomes",
 ]
 
 #: Smallest prime any stage or search examines; the problem statement is p > 5.
@@ -97,12 +111,22 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     returned x lies in [3, p-6], so (x-1)! == (x+5)! is a collision inside
     2! .. (p-1)!, and recheck_witness confirms it before it is released.
     """
-    symbol = 0 if strict else jacobi(1957, p)  # strict finds roots as for p | 1957
+    symbol = 0 if strict else _symbols_1957()[p % 1957]  # strict finds roots as for p | 1957
     if symbol == 1:
         return None
     roots = (_lone_root(p),) if symbol == -1 else cubic_roots(SIX_TERM_CUBIC, p)
     x = _gap_witness(6, roots, p)
     return None if x is None else (x * (x + 5) % p, x)
+
+
+@functools.cache
+def _symbols_1957() -> tuple[int, ...]:
+    """(r/1957) for r in [0, 1957), which is (1957/p) at r = p mod 1957 for every odd p.
+
+    Built on first use, as 1957 jacobi calls cost about 2 ms; the 0 entries
+    (r a multiple of 19 or 103) send 19 and 103 to cubic_roots.
+    """
+    return tuple(jacobi(r, 1957) for r in range(1957))
 
 
 def _gap_polynomial(g: int) -> tuple[int, ...]:
@@ -179,3 +203,38 @@ def run_pipeline(p: int, strict: bool = False) -> tuple[str, dict | None]:
     if hit is not None:
         return "rejected_cubic", {"y": hit[0], "x": hit[1]}
     return "candidates", None
+
+
+#: Stages 0 and 1 as residue classes, from the per-prime definitions on
+#: every residue: the classes mod 8 that pass stage 0, mod 40 that also pass
+#: (5/p), and mod 920 that also pass (-23/p).  Each stage's test reads only
+#: p mod 8, 5 and 23, so each row is exact for every prime.
+_CLASS_ROWS = (
+    (8, tuple(r for r in range(8) if stage_mod8(r))),
+    (40, tuple(r for r in range(40) if stage_mod8(r) and stage_legendre(r) != "rejected_legendre5")),
+    (920, tuple(r for r in range(920) if stage_mod8(r) and stage_legendre(r) is None)),
+)
+
+
+def segment_outcomes(seg_lo: int, seg_hi: int, flags: bytearray,
+                     strict: bool = False) -> tuple[list[int], list[tuple[int, tuple[int, int] | None]]]:
+    """run_pipeline over the primes of [seg_lo, seg_hi): per-OUTCOMES counts and the stage-1 survivors.
+
+    flags[i] is 1 exactly when seg_lo + i is prime (primes.segment_flags).
+    Stages 0 and 1 go by _CLASS_ROWS: each class's primes are counted by
+    flags[o::m].count(1) at its offset o, and only the stage-1 classes mod
+    920 become ints, merged in increasing order.  Each survivor comes with
+    stage_cubic's verdict: its (y, x) on a cubic rejection, None for a
+    candidate.  A prime failing both symbols counts against 5, as in
+    stage_legendre.
+    """
+    passed = [flags.count(1)]  # primes reaching stage 0, then passing stage 0, (5/p), (-23/p) and stage 2
+    passed += (sum(flags[(r - seg_lo) % modulus :: modulus].count(1) for r in classes)
+               for modulus, classes in _CLASS_ROWS[:2])
+    modulus, classes = _CLASS_ROWS[2]
+    offsets = [(r - seg_lo) % modulus for r in classes]
+    stage1 = sorted(chain.from_iterable(compress(range(seg_lo + o, seg_hi, modulus), flags[o::modulus])
+                                        for o in offsets))
+    survivors = [(p, stage_cubic(p, strict)) for p in stage1]
+    passed += len(stage1), sum(hit is None for _, hit in survivors)
+    return [a - b for a, b in zip(passed, passed[1:])] + passed[-1:], survivors

@@ -1,8 +1,10 @@
 """Bulk prime enumeration over 64-bit ranges.
 
-One segmented sieve of Eratosthenes, primes_in_segment, serves both
-small_primes and range enumeration, so memory stays
-O(segment_size + sqrt(hi)) no matter how wide the range is.
+One segmented sieve of Eratosthenes, segment_flags, marks a segment's
+primes in a bytearray.  primes_in_segment compresses those bytes to the
+primes themselves for small_primes and range enumeration; the search
+reads them by residue class instead (filters.segment_outcomes).  Memory
+stays O(segment_size + sqrt(hi)) no matter how wide the range is.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections.abc import Iterator, Sequence
 from itertools import compress
 from math import isqrt
 
-__all__ = ["small_primes", "PrimeRange", "enumerate_primes", "primes_in_segment"]
+__all__ = ["small_primes", "PrimeRange", "enumerate_primes", "primes_in_segment", "segment_flags"]
 
 DEFAULT_SEGMENT_SIZE = 1 << 16
 
@@ -46,15 +48,13 @@ class PrimeRange(namedtuple("PrimeRange", "lo hi segment_size")):
             lo = hi
 
 
-def primes_in_segment(seg_lo: int, seg_hi: int, base: Sequence[int]) -> Iterator[int]:
-    """Primes in [seg_lo, seg_hi) given base primes covering sqrt(seg_hi - 1).
+def segment_flags(seg_lo: int, seg_hi: int, base: Sequence[int]) -> bytearray:
+    """Primality of [seg_lo, seg_hi) as bytes, 2 <= seg_lo: flags[i] == 1 iff seg_lo + i is prime.
 
-    Base primes inside the segment are reported too: marking starts at
-    p * p, which lies beyond any base prime's own position.
+    base must hold the primes up to sqrt(seg_hi - 1); base primes inside
+    the segment keep their flag, since marking starts at p * p, which lies
+    beyond any base prime's own position.
     """
-    seg_lo = max(seg_lo, 2)
-    if seg_lo >= seg_hi:
-        return iter(())
     width = seg_hi - seg_lo
     flags = bytearray(b"\x01") * width
     for p in base:
@@ -65,7 +65,15 @@ def primes_in_segment(seg_lo: int, seg_hi: int, base: Sequence[int]) -> Iterator
             start = seg_lo + (-seg_lo) % p
         offset = start - seg_lo
         flags[offset :: p] = b"\x00" * ((width - offset - 1) // p + 1)
-    return compress(range(seg_lo, seg_hi), flags)
+    return flags
+
+
+def primes_in_segment(seg_lo: int, seg_hi: int, base: Sequence[int]) -> Iterator[int]:
+    """Primes in [seg_lo, seg_hi) given base primes covering sqrt(seg_hi - 1): segment_flags, compressed."""
+    seg_lo = max(seg_lo, 2)
+    if seg_lo >= seg_hi:
+        return iter(())
+    return compress(range(seg_lo, seg_hi), segment_flags(seg_lo, seg_hi, base))
 
 
 def enumerate_primes(rng: PrimeRange) -> Iterator[int]:

@@ -36,7 +36,7 @@ from socprimes.engine import (
     resume,
     search,
 )
-from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange, small_primes
+from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange
 from socprimes.verifier import (
     Verdict,
     VerdictKind,
@@ -445,21 +445,22 @@ class TestProcessPool:
         assert CountingPool.sizes == [2]  # neither one-segment leg built a pool
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched run_pipeline reaches the workers only through fork")
+                        reason="the patched verify_distinct reaches the workers only through fork")
     def test_worker_error_reaches_caller(self, tmp_path, monkeypatch):
         seg = 512
         rng = PrimeRange(7, 7 + 8 * seg, seg)
         full = run_search(tmp_path, rng.lo, rng.hi, name="full.jsonl", segment_size=seg)
         good_through = 7 + 3 * seg
-        bad = next(p for p in small_primes(good_through + seg) if p >= good_through)
-        real_pipeline = engine.run_pipeline
+        # verify_distinct runs once per candidate: fail at segment 3's first one
+        bad = count_filters(good_through, good_through + seg).stage2_survivors[0]
+        real_verify = engine.verify_distinct
 
-        def pipeline(p, strict):
+        def verify(p):
             if p == bad:
                 raise ArithmeticError(f"injected failure at p={p}")
-            return real_pipeline(p, strict)
+            return real_verify(p)
 
-        monkeypatch.setattr(engine, "run_pipeline", pipeline)
+        monkeypatch.setattr(engine, "verify_distinct", verify)
         ckpt = str(tmp_path / "part.ckpt")
         part_out = str(tmp_path / "part.jsonl")
         config = SearchConfig(range=rng, output_path=part_out, threads=2,
@@ -493,21 +494,22 @@ class TestProcessPool:
         assert Path(part_out).read_bytes() == Path(full.output_path).read_bytes()
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched run_pipeline reaches the workers only through fork")
+                        reason="the patched verify_distinct reaches the workers only through fork")
     def test_dead_worker_exits_one_and_resumes(self, tmp_path, monkeypatch, capsys):
         seg = 512
         rng = PrimeRange(7, 7 + 8 * seg, seg)
         full = run_search(tmp_path, rng.lo, rng.hi, name="full.jsonl", segment_size=seg)
         seg3 = 7 + 3 * seg
-        victim = next(p for p in small_primes(seg3 + seg) if p >= seg3)
-        coordinator, real_pipeline = os.getpid(), engine.run_pipeline
+        # verify_distinct runs once per candidate: kill the worker at segment 3's first one
+        victim = count_filters(seg3, seg3 + seg).stage2_survivors[0]
+        coordinator, real_verify = os.getpid(), engine.verify_distinct
 
-        def pipeline(p, strict):
+        def verify(p):
             if p == victim and os.getpid() != coordinator:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_pipeline(p, strict)
+            return real_verify(p)
 
-        monkeypatch.setattr(engine, "run_pipeline", pipeline)
+        monkeypatch.setattr(engine, "verify_distinct", verify)
         part_out = str(tmp_path / "part.jsonl")
         argv = ["search", "--from", str(rng.lo), "--to", str(rng.hi), "--segment-size", str(seg),
                 "--threads", "2", "--checkpoint", str(tmp_path / "part.ckpt"),

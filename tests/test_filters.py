@@ -2,7 +2,7 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import THREE_TERM_CUBIC, assert_partition, cubic_discriminant, eval_mod, gap_collisions, naive_primes
@@ -12,13 +12,14 @@ from socprimes.filters import (
     OUTCOMES,
     SIX_TERM_CUBIC,
     run_pipeline,
+    segment_outcomes,
     stage_cubic,
     stage_legendre,
     stage_mod8,
 )
 from socprimes.modarith import jacobi
 from socprimes.polycong import poly_roots
-from socprimes.primes import PrimeRange
+from socprimes.primes import PrimeRange, enumerate_primes, primes_in_segment, segment_flags, small_primes
 from socprimes.verifier import recheck_witness
 
 PRIMES_BELOW_10K = naive_primes(10**4)
@@ -119,6 +120,16 @@ class TestStageCubic:
         hit = stage_cubic(853, strict=True)
         assert hit is not None
         assert six_term_product(hit[1], 853) == 1
+
+    def test_symbol_table_is_jacobi_1957(self):
+        # (1957/p) == (p/1957), as 1957 == 1 (mod 4); jacobi's modulus must be odd
+        table = filters._symbols_1957()
+        assert len(table) == 1957
+        for r in range(3, 1957, 2):
+            assert table[r] == jacobi(1957, r), r
+        for p in PRIMES_BELOW_10K[1:]:
+            assert table[p % 1957] == jacobi(1957, p), p
+        assert [r for r in range(1957) if table[r] == 0] == sorted({0, *range(19, 1957, 19), *range(103, 1957, 103)})
 
     def test_strict_never_rejects_fewer(self):
         for p in PRIMES_BELOW_10K:
@@ -274,6 +285,39 @@ class TestRunPipeline:
                 assert jacobi(5, p) == -1 and jacobi(-23, p) == 1
 
 
+def pipeline_oracle(primes, strict=False):
+    """run_pipeline on each prime: the counts per OUTCOMES entry and the stage-1 survivors with (y, x) or None."""
+    counts, survivors = dict.fromkeys(OUTCOMES, 0), []
+    for p in primes:
+        outcome, witness = run_pipeline(p, strict)
+        counts[outcome] += 1
+        if outcome in ("rejected_cubic", "candidates"):
+            survivors.append((p, witness and (witness["y"], witness["x"])))
+    return list(counts.values()), survivors
+
+
+class TestSegmentOutcomes:
+    def test_class_rows_match_the_stages_on_every_residue(self):
+        # each row is a class test mod 8, 40 or 920, exact for every residue mod 920
+        (m8, stage0), (m40, legendre5), (m920, stage1) = filters._CLASS_ROWS
+        assert (m8, m40, m920) == (8, 40, 920)
+        assert (stage0, legendre5, len(stage1)) == ((5,), (13, 37), 22)
+        for r in range(920):
+            assert (r % 8 in stage0) == stage_mod8(r), r
+            assert (r % 40 in legendre5) == (stage_mod8(r) and stage_legendre(r) != "rejected_legendre5"), r
+            assert (r in stage1) == (stage_mod8(r) and stage_legendre(r) is None), r
+
+    @given(st.one_of(st.just(7), st.integers(7, 23), st.integers(7, 10**7)), st.integers(1, 5000), st.booleans())
+    @example(7, 900, False).via("a segment narrower than 920 at the domain start")
+    @example(20, 4, True).via("the segment holding 23 alone")
+    @example(10**6 + 3, 919, True).via("narrower than 920, away from the start")
+    def test_equals_run_pipeline_per_prime(self, seg_lo, width, strict):
+        seg_hi = seg_lo + width
+        base = small_primes(math.isqrt(seg_hi - 1))
+        got = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base), strict)
+        assert got == pipeline_oracle(primes_in_segment(seg_lo, seg_hi, base), strict)
+
+
 class TestCountFilters:
     def test_below_1000_frozen(self):
         fc = count_filters(7, 1000)
@@ -316,14 +360,28 @@ class TestCountFilters:
         assert whole.stage1_survivors == left.stage1_survivors + right.stage1_survivors
         assert whole.rejected_cubic == left.rejected_cubic + right.rejected_cubic
 
+    @pytest.mark.parametrize("lo, hi", [(7, 2**16 + 1), (1000, 3 * 2**16 + 917), (10**8 + 5, 10**8 + 2**17 - 3)])
+    def test_ranges_off_the_segment_grid_equal_run_pipeline(self, lo, hi):
+        # count_filters walks 2^16-wide segments from lo; neither end is on that grid
+        for strict in (False, True):
+            fc = count_filters(lo, hi, strict)
+            counts, survivors = pipeline_oracle(enumerate_primes(PrimeRange(lo, hi, 4096)), strict)
+            assert list(fc[2:8]) == [sum(counts), *counts], (lo, hi, strict)
+            assert fc.stage1_survivors == [p for p, _ in survivors]
+            assert fc.stage2_survivors == [p for p, hit in survivors if hit is None]
+            assert_partition(fc)
+
 
 
 class TestTracedNames:
-    """The stages are looked up on the filters module at call time.
+    """Stage 2 is looked up on the filters module at call time; stages 0 and 1 run by class.
 
     The benchmark's trace wraps filters.stage_mod8, stage_legendre,
-    stage_cubic and cubic_roots by attribute; a pipeline that bound them
-    early would run unwrapped, and the trace would report no stage time.
+    stage_cubic and cubic_roots by attribute; a pass that bound stage_cubic
+    or cubic_roots early would run unwrapped, and the trace would report no
+    stage-2 time.  Stages 0 and 1 are read off the sieve by residue class
+    (_CLASS_ROWS, checked against stage_mod8 and stage_legendre in
+    TestSegmentOutcomes), so neither is called per prime.
     """
 
     PRIMES = [p for p in PRIMES_BELOW_10K if p >= 7]
@@ -346,8 +404,8 @@ class TestTracedNames:
     def expected(self, strict=False):
         stage1 = [p for p in self.PRIMES if p % 8 == 5 and jacobi(5, p) == -1 and jacobi(-23, p) == 1]
         return {
-            "stage_mod8": self.PRIMES,
-            "stage_legendre": [p for p in self.PRIMES if p % 8 == 5],
+            "stage_mod8": [],
+            "stage_legendre": [],
             "stage_cubic": stage1,
             # _lone_root serves (1957/p) == -1, so by default only p | 1957 finds roots
             "cubic_roots": stage1 if strict else [p for p in stage1 if jacobi(1957, p) == 0],

@@ -13,10 +13,12 @@ from socprimes.primes import (
     PrimeRange,
     enumerate_primes,
     primes_in_segment,
+    segment_flags,
     small_primes,
 )
 
 NAIVE_BELOW_10K = naive_primes(10**4)
+NAIVE_SET = frozenset(NAIVE_BELOW_10K)
 
 
 def flat_sieve(limit: int) -> list[int]:
@@ -145,3 +147,8 @@ class TestPrimesInSegment:
         base = small_primes(10)
         assert list(primes_in_segment(0, 10, base)) == [2, 3, 5, 7]
         assert list(primes_in_segment(5, 5, base)) == []
+
+    @given(st.integers(2, 9000), st.integers(0, 900))
+    def test_flags_mark_exactly_the_primes(self, lo, width):
+        flags = segment_flags(lo, lo + width, small_primes(isqrt(lo + width)))
+        assert flags == bytearray(n in NAIVE_SET for n in range(lo, lo + width))
