@@ -229,8 +229,8 @@ class RangeReport:
         return self.completed_through >= self.hi
 
 
-class FilterCounts(namedtuple("FilterCounts", "lo hi examined rejected_mod8 rejected_legendre5 "
-                              "rejected_legendre23 rejected_cubic candidates stage1_survivors stage2_survivors")):
+class FilterCounts(namedtuple("FilterCounts", ("lo", "hi", "examined", *OUTCOMES,
+                                              "stage1_survivors", "stage2_survivors"))):
     """Aggregate pipeline statistics over a prime range.
 
     stage1_survivors are the primes that reached stage 2 (they passed the

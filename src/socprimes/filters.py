@@ -17,8 +17,8 @@ the conditions below, so each stage only ever discards safely:
   explicit collision.  When (1957/p) == +1 the stage passes without root
   work (1957 is this cubic's discriminant, and the only dangerous factor
   shape has exactly one root, forcing (1957/p) == -1).  As 1957 == 1
-  (mod 4), (1957/p) == (p/1957) for every odd p, so the stage reads it
-  from a table of the 1957 residues, built from jacobi on first use.
+  (mod 4), (1957/p) == (p/1957) for every odd p, read in both modes from a
+  table of the 1957 residues; strict mode only declines the +1 shortcut.
   _lone_root gives that root in F_p alone, for every p: it is (v-10)/3
   with v = u + 28/u, u a cube root of z = (187 + sqrt(-52839))/2, and v
   is a Lucas number V_a(187, 28^3), over 28 when p == 1 (mod 3).
@@ -62,11 +62,6 @@ __all__ = [
 #: Smallest prime any stage or search examines; the problem statement is p > 5.
 DOMAIN_START = 7
 
-#: y^3 + 10y^2 + 24y - 1 = y(y+4)(y+6) - 1, low to high, where y = x(x+5)
-#: compresses x(x+1)...(x+5) - 1.  Its discriminant is 1957, the
-#: constant behind stage 2's shortcut.
-SIX_TERM_CUBIC = (-1, 24, 10, 1)
-
 #: Every outcome run_pipeline reports, in stage order: a rejection by
 #: stage 0, 1 (two symbols) or 2, then survival of all three.
 OUTCOMES = ("rejected_mod8", "rejected_legendre5", "rejected_legendre23", "rejected_cubic", "candidates")
@@ -105,14 +100,14 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
     increasing order, to x, and y == x(x+5).  p must be 3 (mod 4) or
     5 (mod 8), as for sqrt_mod; every prime reaching stage 2 is 5 (mod 8).
 
-    strict=True skips the (1957/p) == +1 shortcut and always enumerates
-    the roots with poly_roots; it can only reject more, never fewer.  Else
-    (1957/p) == -1 leaves one root, _lone_root's closed form.  The
-    returned x lies in [3, p-6], so (x-1)! == (x+5)! is a collision inside
-    2! .. (p-1)!, and recheck_witness confirms it before it is released.
+    (1957/p) == -1 leaves one root, _lone_root's closed form, in both modes.
+    (1957/p) == +1 passes p without root work unless strict=True, which finds
+    the roots with poly_roots as for p | 1957, so strict only rejects more.
+    The returned x lies in [3, p-6], so (x-1)! == (x+5)! is a collision
+    inside 2! .. (p-1)!, and recheck_witness confirms it before release.
     """
-    symbol = 0 if strict else _symbols_1957()[p % 1957]  # strict finds roots as for p | 1957
-    if symbol == 1:
+    symbol = _symbols_1957()[p % 1957]
+    if symbol == 1 and not strict:
         return None
     roots = (_lone_root(p),) if symbol == -1 else cubic_roots(SIX_TERM_CUBIC, p)
     x = _gap_witness(6, roots, p)
@@ -123,8 +118,8 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
 def _symbols_1957() -> tuple[int, ...]:
     """(r/1957) for r in [0, 1957), which is (1957/p) at r = p mod 1957 for every odd p.
 
-    Built on first use, as 1957 jacobi calls cost about 2 ms; the 0 entries
-    (r a multiple of 19 or 103) send 19 and 103 to cubic_roots.
+    Built on first use (1957 jacobi calls, about 2 ms) and read in both modes;
+    the 0 entries (19 | r or 103 | r) send only 19 and 103 to cubic_roots.
     """
     return tuple(jacobi(r, 1957) for r in range(1957))
 
@@ -141,6 +136,11 @@ def _gap_polynomial(g: int) -> tuple[int, ...]:
         poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]  # times (var + c)
     poly[0] -= 1
     return tuple(poly)
+
+
+#: Gap 6's y^3 + 10y^2 + 24y - 1 = y(y+4)(y+6) - 1, y = x(x+5), low to high;
+#: its discriminant 1957 is the constant behind stage 2's shortcut.
+SIX_TERM_CUBIC = _gap_polynomial(6)
 
 
 def _gap_witness(g: int, roots: tuple[int, ...], p: int) -> int | None:

@@ -250,6 +250,18 @@ class TestLoneRoot:
         assert len(stage1_below_1e6) == 4908
         assert digest.hexdigest() == "e333ad7c4d307b9d863b29bcc23fcea76a20d9c590bcef48aa8ab7f863b69960"
 
+    def test_strict_takes_the_lone_root_without_cubic_roots(self, monkeypatch):
+        # strict declines only the (1957/p) == +1 shortcut; the -1 class keeps _lone_root
+        served = [p for p in count_filters(7, 10**5).stage1_survivors if jacobi(1957, p) == -1]
+        default = [stage_cubic(p) for p in served]
+
+        def refused(*args):
+            raise AssertionError(f"cubic_roots{args} on the lone-root class")
+
+        monkeypatch.setattr(filters, "cubic_roots", refused)
+        assert [stage_cubic(p, strict=True) for p in served] == default
+        assert (len(served), sum(hit is not None for hit in default)) == (290, 143)
+
     @pytest.mark.parametrize("lo, hi, survivors, hexdigest", [
         (10**9 - 2**22, 10**9, 12578, "eaa7b56a8a9191c0433a05f1cb6303fd862feaacf7c747d162140833bf2b60e7"),
         (10**10 - 2**21, 10**10, 5712, "3ae0b4b9408836228ddf3dbd02207af91455891b90f66cc6237a483c4248f721"),
@@ -407,8 +419,9 @@ class TestTracedNames:
             "stage_mod8": [],
             "stage_legendre": [],
             "stage_cubic": stage1,
-            # _lone_root serves (1957/p) == -1, so by default only p | 1957 finds roots
-            "cubic_roots": stage1 if strict else [p for p in stage1 if jacobi(1957, p) == 0],
+            # _lone_root serves (1957/p) == -1 in both modes, so by default only
+            # p | 1957 finds roots, and strict adds (1957/p) == +1
+            "cubic_roots": [p for p in stage1 if (jacobi(1957, p) != -1 if strict else jacobi(1957, p) == 0)],
         }
 
     def test_count_filters_calls_each_stage(self, calls):
@@ -416,10 +429,10 @@ class TestTracedNames:
         assert calls == self.expected()
         assert fc.stage1_survivors == calls["stage_cubic"]
 
-    def test_strict_count_filters_finds_roots_for_every_survivor(self, calls):
+    def test_strict_count_filters_finds_roots_off_the_lone_root_class(self, calls):
         fc = count_filters(7, 10**4, strict=True)
         assert calls == self.expected(strict=True)
-        assert fc.stage1_survivors == calls["cubic_roots"]
+        assert [p for p in fc.stage1_survivors if jacobi(1957, p) != -1] == calls["cubic_roots"]
 
     def test_search_calls_each_stage(self, calls, tmp_path):
         report = search(SearchConfig(range=PrimeRange(7, 10**4, 1024), output_path=str(tmp_path / "o.jsonl")))
