@@ -34,6 +34,13 @@ settings.load_profile("suite")
 #: for gap 3: filters._gap_polynomial(3) must equal it.
 THREE_TERM_CUBIC = (-1, 2, 3, 1)
 
+#: y(y+4)(y+6) - 1 = y^3 + 10y^2 + 24y - 1 with y = x(x+5), low to high;
+#: a root y lifts to an x with (x+5)! == (x-1)!.  Its discriminant is
+#: 1957, the constant behind filter stage 2.  It is the hand-expanded
+#: reference for gap 6: filters._gap_polynomial(6) and
+#: filters.SIX_TERM_CUBIC must equal it.
+SIX_TERM_CUBIC = (-1, 24, 10, 1)
+
 
 def naive_primes(limit: int) -> list[int]:
     """Trial-division primes below limit."""

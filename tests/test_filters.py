@@ -5,12 +5,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import THREE_TERM_CUBIC, assert_partition, cubic_discriminant, eval_mod, gap_collisions, naive_primes
+from conftest import (
+    SIX_TERM_CUBIC,
+    THREE_TERM_CUBIC,
+    assert_partition,
+    cubic_discriminant,
+    eval_mod,
+    gap_collisions,
+    naive_primes,
+)
 from socprimes import filters
 from socprimes.engine import SearchConfig, count_filters, search
 from socprimes.filters import (
     OUTCOMES,
-    SIX_TERM_CUBIC,
     run_pipeline,
     segment_outcomes,
     stage_cubic,
@@ -152,7 +159,7 @@ def sqrt_domain(p: int) -> bool:
 class TestGapRoutine:
     def test_stage_polynomials_are_gap_rows(self):
         assert filters._gap_polynomial(3) == THREE_TERM_CUBIC
-        assert filters._gap_polynomial(6) == SIX_TERM_CUBIC
+        assert filters._gap_polynomial(6) == filters.SIX_TERM_CUBIC == SIX_TERM_CUBIC
 
     def test_stages_0_and_1_are_gap_rows(self):
         # gap 2 is x(x+1) == 1, of discriminant 5; gap 3's cubic has one root

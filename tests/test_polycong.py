@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    SIX_TERM_CUBIC,
+    THREE_TERM_CUBIC,
     brute_roots,
     cubic_discriminant,
     euler_symbol,
@@ -19,10 +21,6 @@ ODD_PRIMES = [p for p in naive_primes(2000) if p > 2]
 # the packed slot width grows with p's bit length; 2^63 - 25 is the
 # largest prime below PrimeRange's 2^63 ceiling
 LARGE_PRIMES = [999_999_937, 2**31 - 1, 2**61 - 1, 2**63 - 25]
-
-# the two cubics the pipeline is built around, low to high
-SIX_TERM = (-1, 24, 10, 1)
-THREE_TERM = (-1, 2, 3, 1)
 
 odd_primes = st.sampled_from(ODD_PRIMES)
 large_primes = st.sampled_from(LARGE_PRIMES)
@@ -43,8 +41,8 @@ class TestDiscriminant:
     """The closed-form oracle that factor_parity and the filter tests use."""
 
     def test_pipeline_constants(self):
-        assert cubic_discriminant(SIX_TERM) == 1957
-        assert cubic_discriminant(THREE_TERM) == -23
+        assert cubic_discriminant(SIX_TERM_CUBIC) == 1957
+        assert cubic_discriminant(THREE_TERM_CUBIC) == -23
 
     def test_hand_computed(self):
         # y^3 - 1: disc of x^3 + d is -27 d^2
@@ -66,14 +64,14 @@ class TestCubicRoots:
     """poly_roots on cubics, the pipeline's own among them."""
 
     def test_production_cubic_frozen(self):
-        assert poly_roots(SIX_TERM, 13) == (5,)
-        assert poly_roots(SIX_TERM, 17) == (1, 8, 15)
+        assert poly_roots(SIX_TERM_CUBIC, 13) == (5,)
+        assert poly_roots(SIX_TERM_CUBIC, 17) == (1, 8, 15)
 
     def test_discriminant_divisors(self):
         # 1957 = 19 * 103: the cubic has a repeated root there, and the
         # gcd with y^p - y keeps it once
-        assert poly_roots(SIX_TERM, 19) == (2, 5)
-        assert poly_roots(SIX_TERM, 103) == (32, 82)
+        assert poly_roots(SIX_TERM_CUBIC, 19) == (2, 5)
+        assert poly_roots(SIX_TERM_CUBIC, 103) == (32, 82)
 
     def test_cube_roots_of_unity(self):
         assert poly_roots((-1, 0, 0, 1), 7) == (1, 2, 4)
@@ -85,20 +83,20 @@ class TestCubicRoots:
 
     def test_rejects_even_or_tiny_modulus(self):
         with pytest.raises(ValueError):
-            poly_roots(SIX_TERM, 10)
+            poly_roots(SIX_TERM_CUBIC, 10)
         with pytest.raises(ValueError):
-            poly_roots(SIX_TERM, 2)
+            poly_roots(SIX_TERM_CUBIC, 2)
 
     def test_exhaustive_small_primes_production_cubic(self):
         for p in ODD_PRIMES:
-            assert poly_roots(SIX_TERM, p) == brute_roots(SIX_TERM, p), p
+            assert poly_roots(SIX_TERM_CUBIC, p) == brute_roots(SIX_TERM_CUBIC, p), p
 
     def test_deterministic_when_splitting(self):
         # p = 17 gives three roots, so the shifts run; they are fixed, so
         # repeated calls are identical
-        first = poly_roots(SIX_TERM, 17)
+        first = poly_roots(SIX_TERM_CUBIC, 17)
         for _ in range(5):
-            assert poly_roots(SIX_TERM, 17) == first
+            assert poly_roots(SIX_TERM_CUBIC, 17) == first
 
     @given(small_coeff, small_coeff, small_coeff, odd_primes)
     def test_matches_brute_force(self, b, c, d, p):
@@ -229,9 +227,9 @@ class TestFactorParity:
         assert split.nu == 2 and split.symbol == 1 and split.holds
 
     def test_cubic_frozen(self):
-        one_root = factor_parity(SIX_TERM, 13)
+        one_root = factor_parity(SIX_TERM_CUBIC, 13)
         assert one_root.nu == 2 and one_root.symbol == -1 and one_root.holds
-        three_roots = factor_parity(SIX_TERM, 17)
+        three_roots = factor_parity(SIX_TERM_CUBIC, 17)
         assert three_roots.nu == 3 and three_roots.symbol == 1 and three_roots.holds
 
     def test_linear(self):
@@ -248,7 +246,7 @@ class TestFactorParity:
         with pytest.raises(ValueError):
             factor_parity((-1, 1, 1), 5)  # p divides disc 5
         with pytest.raises(ValueError):
-            factor_parity(SIX_TERM, 19)  # 19 divides 1957
+            factor_parity(SIX_TERM_CUBIC, 19)  # 19 divides 1957
 
     @given(small_coeff, small_coeff, small_coeff, odd_primes)
     def test_parity_law_holds_for_cubics(self, b, c, d, p):

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import factorials_agree, naive_primes, reference_scan, verdict_tuple
 from socprimes import verifier
+from socprimes.engine import count_filters
 from socprimes.primes import primes_in_segment, small_primes
 from socprimes.verifier import (
     Verdict,
@@ -149,6 +151,79 @@ class TestWitnesses:
             v = verify_distinct(p)
             if v.kind is VerdictKind.COLLISION:
                 assert recheck_witness(p, v.j, v.k) and factorial_mod(v.k, p) == v.residue, p
+
+
+class TestBirthdayPredecessors:
+    # _scan_birthday maps each residue k! to the residue before it, (k-1)!,
+    # and recovers j by one modular inverse
+
+    def test_eleven_collides_with_the_stored_one(self):
+        # 2! == 4! == 2 (mod 11): the stored value is 1! == 1, the start
+        # value rather than an earlier key
+        v = verifier._scan_birthday(11, default_cap(11))
+        assert v == Verdict(11, VerdictKind.COLLISION, 2, 4, 2, scanned_up_to=4)
+        assert verdict_tuple(v) == reference_scan(11)
+
+    def test_fifteen_finds_j_by_the_second_pass(self, monkeypatch):
+        # 5! == 6! == 0 (mod 15), and 4! == 9 is no unit mod 15, so the
+        # inverse raises and _first_index_of finds j
+        calls = []
+        second_pass = verifier._first_index_of
+
+        def first_index_of(p, residue, below):
+            calls.append((p, residue, below))
+            return second_pass(p, residue, below)
+
+        monkeypatch.setattr(verifier, "_first_index_of", first_index_of)
+        assert verify_distinct(15) == Verdict(15, VerdictKind.COLLISION, 5, 6, 0, scanned_up_to=6)
+        assert calls == [(15, 0, 6)]
+
+    def test_stage2_survivors_below_1e5_agree_without_the_second_pass(self, monkeypatch):
+        survivors = count_filters(7, 10**5).stage2_survivors
+        assert len(survivors) == 447
+        want = {p: reference_scan(p) for p in survivors}
+        for p in survivors:
+            assert verdict_tuple(scan_bitset(p)) == want[p], p
+
+        def first_index_of(p, residue, below):
+            raise AssertionError(f"the inverse of (j-1)! mod the prime {p} needs no second pass")
+
+        monkeypatch.setattr(verifier, "_first_index_of", first_index_of)
+        for p in survivors:
+            assert verdict_tuple(verifier._scan_birthday(p, default_cap(p))) == want[p], p
+
+
+def index_valued_scan(p, cap):
+    """The birthday loop as it was when each residue mapped to its index k: (j, k, residue) or None."""
+    limit = min(p - 1, cap + 1)
+    seen = {}
+    first = seen.setdefault
+    f = 1
+    for k in range(2, limit + 1):
+        f = f * k % p
+        j = first(f, k)
+        if j != k:
+            return j, k, f
+    return None
+
+
+def traced_peak(scan, p):
+    """scan(p, default_cap(p)) and the peak bytes tracemalloc saw during it."""
+    tracemalloc.start()
+    try:
+        return scan(p, default_cap(p)), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_birthday_scan_stores_no_index_ints():
+    # near 10^9 the scan's dict holds 122 303 entries; a ratio of peaks, not
+    # a bound in MB, since int and dict sizes differ between Python versions
+    p = 999_942_413
+    v, peak = traced_peak(verifier._scan_birthday, p)
+    old, old_peak = traced_peak(index_valued_scan, p)
+    assert (v.j, v.k, v.residue) == old == (44188, 122303, 585028048)
+    assert peak <= 0.85 * old_peak, (peak, old_peak)
 
 
 def first_collision_from(start):
