@@ -28,14 +28,16 @@ cover 2! .. (p-1)!, so a Socialist verdict there already comes from the
 bitset scan and the confirmation reruns the same code.  It guards
 against a transient fault, not against a defect in that scan.
 
-A run keeps one record, its RangeReport: search and resume build it, each
-commit updates it, every checkpoint is written from it, and the run
-returns it.  A checkpoint is a small JSON document naming the range, the
-committed high-water mark, the counters, and the byte length, record
-count and sha256 of the results file at commit time.  Writes are atomic
-(tmp file + os.replace), and a results path that is the checkpoint or
-its tmp file, or a checkpoint in a directory that does not exist, is
-refused before any file is opened.  Resume enforces what
+A run's state is its RangeReport, a namedtuple like every record here:
+search and resume build the first one, each commit returns the next with
+the segment folded in, every checkpoint is written from the latest, and
+the run returns the last.  No report, and no list one holds, is changed
+once it is built.  A checkpoint is a small JSON document naming the
+range, the committed high-water mark, the counters, and the byte length,
+record count and sha256 of the results file at commit time.  Writes are
+atomic (tmp file + os.replace), and a results path that is the
+checkpoint or its tmp file, or a checkpoint in a directory that does not
+exist, is refused before any file is opened.  Resume enforces what
 the checkpoint is for: given the range, strict_cubic or either size, it
 refuses a checkpoint of another search before it opens the results file.
 It then checks the file's committed prefix against that count and digest
@@ -120,55 +122,34 @@ class CheckpointError(RuntimeError):
     """Checkpoint file missing, malformed, or inconsistent with its outputs."""
 
 
-class Counters:
+class Counters(namedtuple("Counters", ("examined", *OUTCOMES[:-1], "collisions", "neg_half_hits", "socialist"),
+                          defaults=(0,) * (len(OUTCOMES) + 3))):  # every field defaults to 0
     """Per-outcome tallies.
 
     examined comes first; every later field names one outcome (a
     rejection in filters.OUTCOMES or a candidate's scan result), so
-    examined always equals the sum of the rest.  neg_half_hits is always
-    0: no scan reports that outcome (see the verifier module), but the
-    field stays because the checkpoint counters block, search --json and
-    the benchmark's reference counters all carry it.
+    examined always equals the sum of the rest.  A commit sums a
+    segment's tallies into new Counters field by field.  neg_half_hits is
+    always 0: no scan reports that outcome (see the verifier module), but
+    the field stays because the checkpoint counters block, search --json
+    and the benchmark's reference counters all carry it.
     """
 
-    __slots__ = ("examined", "rejected_mod8", "rejected_legendre5", "rejected_legendre23", "rejected_cubic",
-                 "collisions", "neg_half_hits", "socialist")
-
-    def __init__(self, examined: int = 0, rejected_mod8: int = 0, rejected_legendre5: int = 0,
-                 rejected_legendre23: int = 0, rejected_cubic: int = 0, collisions: int = 0,
-                 neg_half_hits: int = 0, socialist: int = 0) -> None:
-        self.examined = examined
-        self.rejected_mod8 = rejected_mod8
-        self.rejected_legendre5 = rejected_legendre5
-        self.rejected_legendre23 = rejected_legendre23
-        self.rejected_cubic = rejected_cubic
-        self.collisions = collisions
-        self.neg_half_hits = neg_half_hits
-        self.socialist = socialist
-
-    def __eq__(self, other: object) -> bool:
-        return self.as_dict() == other.as_dict() if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Counters({', '.join(f'{name}={value!r}' for name, value in self.as_dict().items())})"
-
-    def merge(self, other: Counters) -> None:
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return dict(zip(self._fields, self))
 
     @classmethod
     def from_dict(cls, d: dict[str, int]) -> Counters:
-        values = {name: d.get(name) for name in cls.__slots__}
+        values = {name: d.get(name) for name in cls._fields}
         bad = [name for name, v in values.items() if type(v) is not int or v < 0]
         if bad:
             raise CheckpointError(f"bad counters block: {', '.join(bad)} not non-negative integers")
         return cls(**values)
 
     def partitioned(self) -> bool:
-        examined, *outcomes = self.as_dict().values()
+        examined, *outcomes = self
         return examined == sum(outcomes)
 
     @property
@@ -197,32 +178,19 @@ class SearchConfig(namedtuple("SearchConfig", "range output_path threads strict_
     __slots__ = ()
 
 
-class RangeReport:
+class RangeReport(namedtuple("RangeReport", "lo hi completed_through counters socialist_primes output_path "
+                             "wall_seconds resumed output_offset output_records", defaults=(0.0, False, 0, 0))):
     """A search's state while it runs, and what it established once it returns.
 
-    search and resume build it, every committed segment updates it and
-    every checkpoint is written from it.  wall_seconds counts every leg
-    of the search so far; output_offset and output_records are the byte
-    length and record count of the results file's committed prefix,
-    which the checkpoint stores next to its sha256.
+    search and resume build the first one, every committed segment
+    returns the next, and every checkpoint is written from the latest.
+    wall_seconds counts every leg of the search so far; output_offset and
+    output_records are the byte length and record count of the results
+    file's committed prefix, which the checkpoint stores next to its
+    sha256.
     """
 
-    __slots__ = ("lo", "hi", "completed_through", "counters", "socialist_primes", "output_path",
-                 "wall_seconds", "resumed", "output_offset", "output_records")
-
-    def __init__(self, lo: int, hi: int, completed_through: int, counters: Counters, socialist_primes: list[int],
-                 output_path: str, wall_seconds: float = 0.0, resumed: bool = False, output_offset: int = 0,
-                 output_records: int = 0) -> None:
-        self.lo = lo
-        self.hi = hi
-        self.completed_through = completed_through
-        self.counters = counters
-        self.socialist_primes = socialist_primes
-        self.output_path = output_path
-        self.wall_seconds = wall_seconds
-        self.resumed = resumed
-        self.output_offset = output_offset
-        self.output_records = output_records
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
@@ -324,7 +292,7 @@ def _checkpoint_payload(config: SearchConfig, report: RangeReport, digest: hashl
         "checkpoint_interval": config.checkpoint_interval,
         "completed_through": report.completed_through,
         "counters": report.counters.as_dict(),
-        "socialist": list(report.socialist_primes),
+        "socialist": report.socialist_primes,
         "output_path": config.output_path,
         "output_offset": report.output_offset,
         "output_records": report.output_records,
@@ -411,20 +379,22 @@ def _tail_is_ours(fh, lo: int, hi: int) -> bool:
 
 
 def _commit(report: RangeReport, out, digest: hashlib._Hash, seg_hi: int, counters: Counters,
-            socialist: list[int], data: bytes, lines: int) -> None:
-    """Append one segment's results bytes to out and digest, and fold the segment into report."""
+            socialist: list[int], data: bytes, lines: int) -> RangeReport:
+    """Append one segment's results bytes to out and digest; the report with the segment folded in."""
     for p in socialist:
         import logging  # here: logging costs every import, and only this verdict logs
 
         logging.getLogger(__name__).critical(
             "SOCIALIST PRIME FOUND: p=%d survived a full distinctness scan twice", p)
-    report.socialist_primes.extend(socialist)
     out.write(data)
     digest.update(data)
-    report.output_offset += len(data)
-    report.output_records += lines
-    report.counters.merge(counters)
-    report.completed_through = seg_hi
+    return report._replace(
+        completed_through=seg_hi,
+        counters=Counters(*map(sum, zip(report.counters, counters))),
+        socialist_primes=report.socialist_primes + socialist,
+        output_offset=report.output_offset + len(data),
+        output_records=report.output_records + lines,
+    )
 
 
 def _in_order(args: Iterator[tuple], width: int) -> Iterator[tuple]:
@@ -471,22 +441,23 @@ def _run(config: SearchConfig, report: RangeReport, out, digest: hashlib._Hash, 
     results = _in_order(args, workers) if workers > 1 else (_segment_task(a) for a in args)
     prior_seconds = report.wall_seconds
 
-    def persist() -> None:
+    def persist(report: RangeReport) -> RangeReport:
         # durable results first, so a checkpoint never names bytes a crash can lose
         out.flush()
         os.fsync(out.fileno())
-        report.wall_seconds = prior_seconds + time.monotonic() - started
+        report = report._replace(wall_seconds=prior_seconds + time.monotonic() - started)
         if config.checkpoint_path:
             _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
+        return report
 
     try:
         for committed, result in enumerate(results, 1):
-            _commit(report, out, digest, *result)
+            report = _commit(report, out, digest, *result)
             if config.checkpoint_path and committed % config.checkpoint_interval == 0:
-                persist()
+                report = persist(report)
     finally:
         results.close()
-    persist()
+    report = persist(report)
 
     if not report.counters.partitioned():
         raise RuntimeError("counter partition violated; search state is corrupt")

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from socprimes import engine
-from socprimes.cli import main
+from socprimes.cli import LABELS, main
+from socprimes.engine import Counters
+from socprimes.filters import OUTCOMES
 
 SURVIVORS_BELOW_1000 = [13, 173, 197, 277, 317, 397, 653, 853, 877, 997]
 
@@ -183,6 +185,11 @@ class TestSearch:
         code = main(["search", "--checkpoint", str(ckpt), "--threads", "1"])
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err
+
+
+def test_every_counter_has_a_label():
+    # a search's report prints LABELS[name] for every Counters field, filter-counts for every outcome
+    assert set(LABELS) == {*Counters._fields, *OUTCOMES}
 
 
 class TestFilterCounts:

@@ -36,6 +36,7 @@ from socprimes.engine import (
     resume,
     search,
 )
+from socprimes.filters import OUTCOMES
 from socprimes.primes import DEFAULT_SEGMENT_SIZE, PrimeRange
 from socprimes.verifier import (
     Verdict,
@@ -71,14 +72,14 @@ class TestCounters:
         assert c.partitioned()
         assert c.stage1_survivors == 4
         assert c.stage2_survivors == 3
-        c.examined += 1
-        assert not c.partitioned()
+        assert not c._replace(examined=11).partitioned()
 
     def test_merge_and_roundtrip(self):
-        c = Counters()
-        c.merge(Counters(examined=5, rejected_mod8=1, rejected_legendre5=1, rejected_legendre23=1,
-                         rejected_cubic=1, collisions=1))
-        c.merge(Counters(examined=2, collisions=1, neg_half_hits=1))
+        # summed field by field, as _commit folds a segment in
+        segments = (Counters(examined=5, rejected_mod8=1, rejected_legendre5=1, rejected_legendre23=1,
+                             rejected_cubic=1, collisions=1),
+                    Counters(examined=2, collisions=1, neg_half_hits=1))
+        c = Counters(*map(sum, zip(Counters(), *segments)))
         assert c == Counters(examined=7, rejected_mod8=1, rejected_legendre5=1,
                              rejected_legendre23=1, rejected_cubic=1,
                              collisions=2, neg_half_hits=1)
@@ -91,6 +92,10 @@ class TestCounters:
             "rejected_cubic", "collisions", "neg_half_hits", "socialist",
         )
 
+    def test_fields_come_from_outcomes(self):
+        # examined, each filter rejection as filters.OUTCOMES names it, then the scan's three outcomes
+        assert Counters._fields == ("examined", *OUTCOMES[:-1], "collisions", "neg_half_hits", "socialist")
+
     def test_from_dict_rejects_gaps(self):
         with pytest.raises(CheckpointError):
             Counters.from_dict({"examined": 3})
@@ -98,7 +103,7 @@ class TestCounters:
     def test_equality_repr_and_pickle(self):
         c = Counters(examined=4, rejected_mod8=1, collisions=3)
         assert c == Counters(4, 1, 0, 0, 0, 3) and c != Counters(examined=4, rejected_mod8=1, socialist=3)
-        assert c != tuple(c.as_dict().values()) and c != c.as_dict()
+        assert c != c.as_dict()
         assert repr(c) == ("Counters(examined=4, rejected_mod8=1, rejected_legendre5=0, rejected_legendre23=0, "
                            "rejected_cubic=0, collisions=3, neg_half_hits=0, socialist=0)")
         # how a pool worker hands a segment's counters back
@@ -112,7 +117,10 @@ class TestCounters:
     (count_filters(7, 100), "examined"),
     (fp_histogram(100), "min_f"),
     (heuristic(7), "limit_exponent"),
-], ids=["Verdict", "PrimeRange", "SearchConfig", "FilterCounts", "FpHistogram", "HeuristicEstimate"])
+    (Counters(examined=1, collisions=1), "examined"),
+    (RangeReport(7, 100, 7, Counters(), [], "x.jsonl"), "completed_through"),
+], ids=["Verdict", "PrimeRange", "SearchConfig", "FilterCounts", "FpHistogram", "HeuristicEstimate", "Counters",
+        "RangeReport"])
 def test_frozen_record_refuses_assignment(record, name):
     value = getattr(record, name)
     with pytest.raises(AttributeError):
@@ -956,13 +964,15 @@ class TestScanGuards:
 
 class TestSocialistPath:
     def test_commit_logs_and_tracks(self, caplog, scanned_socialist):
-        report = RangeReport(lo=7, hi=100, completed_through=13, counters=Counters(),
+        before = RangeReport(lo=7, hi=100, completed_through=13, counters=Counters(),
                              socialist_primes=[], output_path="out.jsonl")
         out, digest = io.BytesIO(), hashlib.sha256()
         result = engine._segment_task(SEGMENT_OF_13)
         data = result[3]
         with caplog.at_level(logging.CRITICAL, logger="socprimes.engine"):
-            _commit(report, out, digest, *result)
+            report = _commit(before, out, digest, *result)
+        # the report passed in, and the list it holds, are left as they were
+        assert before == (7, 100, 13, Counters(), [], "out.jsonl", 0.0, False, 0, 0)
         assert scanned_socialist == ["verify_distinct", "scan_bitset"]
         assert report.socialist_primes == [13]
         assert "SOCIALIST PRIME FOUND: p=13" in caplog.text

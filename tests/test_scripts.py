@@ -1,5 +1,6 @@
 """The scripts under scripts/, run in a subprocess as a user runs them."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -137,3 +138,32 @@ def test_search_billion_resumes_into_its_out(tmp_path, out):
         assert done.returncode == 0, done.stderr
         assert other.read_bytes() == (tmp_path / "one.jsonl").read_bytes()
         assert done.stdout.splitlines()[-1].startswith("done in ")
+
+
+def test_audit_results_holds_on_a_search_and_fails_each_damage(tmp_path):
+    results = tmp_path / "results.jsonl"
+    search(SearchConfig(range=PrimeRange(7, 300000), output_path=str(results), threads=1))
+    done = run_script("audit_results.py", str(results))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{results}: 1620 witnesses hold by direct product\n"
+
+    lines = results.read_bytes().splitlines(keepends=True)
+    x4 = b'{"p":197,"outcome":"RejectedCubic","witness":{"y":36,"x":4}}\n'
+    at = lines.index(x4)
+    damages = {  # each damaged file, and the start of the audit's message for it
+        "witness fails its direct product": [*lines[:at], x4.replace(b'"x":4', b'"x":5'), *lines[at + 1:]],
+        "p does not increase after 173": [lines[1], lines[0], *lines[2:]],
+        "line is not the compact JSON": [lines[0].replace(b'"outcome":', b'"outcome": '), *lines[1:]],
+    }
+    for message, damaged in damages.items():
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(damaged))
+        done = run_script("audit_results.py", str(bad))
+        assert (done.returncode, done.stdout) == (1, ""), message
+        assert done.stderr.startswith(message), done.stderr
+
+    # an audit independent of the package: the standard library's json and sys only
+    tree = ast.parse((ROOT / "scripts" / "audit_results.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert imported == {"json", "sys"}
+    assert not any(isinstance(node, ast.ImportFrom) for node in ast.walk(tree))
