@@ -10,18 +10,19 @@ Layering: modarith and primes are arithmetic bedrock, polycong finds the
 roots mod p of a monic polynomial of any degree, filters decides one prime
 by the staged necessary conditions and owns the p > 5 domain, verifier
 scans for a factorial duplicate (a birthday window, else scan_bitset),
-engine walks ranges (checkpointed searches and count_filters), analytics
-measures F(p) and the vanishing heuristic, and cli fronts it all.
+engine walks ranges (searches and count_filters), checkpoint writes and
+reads the checkpoint format and holds resume's checks, analytics measures
+F(p) and the vanishing heuristic, and cli fronts it all.
 
-Importing the package loads every module above except cli, and from the
-standard library only what a one-process run executes; not dataclasses
-or inspect (the records are namedtuples, or slotted classes where the
-engine updates them), typing, json, logging or the process pool.
-concurrent.futures (and with it multiprocessing, threading and logging)
-serves both pooled paths: it loads on the first search with more than
-one worker or the first fp_histogram with jobs > 1.  json loads on a
-search's first checkpoint write, or a checkpoint read or resume; logging
-when a search commits a socialist verdict.
+Importing the package loads every module above except checkpoint and
+cli, and from the standard library only what a one-process run executes;
+not dataclasses or inspect (the records are namedtuples, or slotted
+classes where the engine updates them), typing, json, logging or the
+process pool.  concurrent.futures (and with it multiprocessing, threading
+and logging) serves both pooled paths: it loads on the first search with
+more than one worker or the first fp_histogram with jobs > 1.  checkpoint,
+and json with it, loads on a search's first checkpoint write or on a
+resume; logging when a search commits a socialist verdict.
 """
 
 from .analytics import (

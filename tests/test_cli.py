@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from socprimes import engine
+from socprimes import checkpoint
 from socprimes.cli import LABELS, main
 from socprimes.engine import Counters
 from socprimes.filters import OUTCOMES
@@ -145,8 +145,8 @@ class TestSearch:
 
     def test_resume_reads_the_checkpoint_once(self, capsys, monkeypatch, stopped):
         ckpt, part, base = stopped
-        reads, load = [], engine._load_checkpoint
-        monkeypatch.setattr(engine, "_load_checkpoint", lambda path: reads.append(path) or load(path))
+        reads, load = [], checkpoint._load_checkpoint
+        monkeypatch.setattr(checkpoint, "_load_checkpoint", lambda path: reads.append(path) or load(path))
         assert main(base + ["--from", "7", "--to", "9000", "--segment-size", "1024"]) == 0
         assert reads == [str(ckpt)]
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socprimes import engine
+from socprimes import checkpoint, engine
 from socprimes.analytics import fp_histogram, heuristic
 from socprimes.cli import main
 from socprimes.engine import (
@@ -841,8 +841,8 @@ class TestCheckpointValidation:
 def starve_and_record_opens(monkeypatch):
     """Make _base_primes, which _run calls before its first segment, raise MemoryError.
 
-    Returns the list of every file engine opens from then on, collected
-    through a module-level open that shadows the builtin.
+    Returns the list of every file engine and checkpoint open from then on,
+    collected through a module-level open in each that shadows the builtin.
     """
     def no_memory(limit):
         raise MemoryError(f"no memory for the primes below {limit}")
@@ -854,7 +854,8 @@ def starve_and_record_opens(monkeypatch):
         return opened[-1]
 
     monkeypatch.setattr(engine, "_base_primes", no_memory)
-    monkeypatch.setattr(engine, "open", recording_open, raising=False)
+    for module in (engine, checkpoint):
+        monkeypatch.setattr(module, "open", recording_open, raising=False)
     return opened
 
 

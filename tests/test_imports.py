@@ -47,6 +47,24 @@ assert "concurrent.futures.process" in sys.modules and "multiprocessing.pool" no
 print("ok")
 """
 
+#: A one-shot search loads no checkpoint code; a stopped leg's first
+#: checkpoint write loads it, and the leg's resume finishes the bytes.
+CHECKPOINTED = """
+import os, sys, tempfile
+from socprimes import PrimeRange, SearchConfig, resume, search
+rng = PrimeRange(7, 20000, 2048)
+with tempfile.TemporaryDirectory() as tmp:
+    whole, part, ckpt = (os.path.join(tmp, name) for name in ("whole.jsonl", "part.jsonl", "part.ckpt"))
+    search(SearchConfig(range=rng, output_path=whole))
+    assert "socprimes.checkpoint" not in sys.modules and "json" not in sys.modules
+    stopped = search(SearchConfig(range=rng, output_path=part, checkpoint_path=ckpt, stop_after_segments=2))
+    assert not stopped.complete and "socprimes.checkpoint" in sys.modules
+    assert resume(ckpt).complete
+    with open(whole, "rb") as a, open(part, "rb") as b:
+        assert a.read() == b.read(), "the resumed leg wrote other bytes than the one-shot search"
+print("ok")
+"""
+
 
 def run_child(code: str) -> str:
     # a fresh interpreter without site, so only what the code pulls in shows
@@ -83,3 +101,12 @@ def test_import_loads_no_pool_logging_or_typing():
 
 def test_pooled_runs_in_fresh_interpreter():
     assert run_child(POOLED).split() == ["ok"]
+
+
+def test_import_loads_no_checkpoint_code():
+    # engine imports it on the first checkpoint write, checkpoint read or resume
+    assert "socprimes.checkpoint" not in loaded_by_import()
+
+
+def test_checkpointed_leg_loads_the_checkpoint_module_and_resumes():
+    assert run_child(CHECKPOINTED).split() == ["ok"]

@@ -150,10 +150,14 @@ def test_audit_results_holds_on_a_search_and_fails_each_damage(tmp_path):
     lines = results.read_bytes().splitlines(keepends=True)
     x4 = b'{"p":197,"outcome":"RejectedCubic","witness":{"y":36,"x":4}}\n'
     at = lines.index(x4)
+    small = b'{"p":17,"outcome":"Collision","witness":{"j":3,"k":6,"residue":6}}\n'
     damages = {  # each damaged file, and the start of the audit's message for it
         "witness fails its direct product": [*lines[:at], x4.replace(b'"x":4', b'"x":5'), *lines[at + 1:]],
         "p does not increase after 173": [lines[1], lines[0], *lines[2:]],
         "line is not the compact JSON": [lines[0].replace(b'"outcome":', b'"outcome": '), *lines[1:]],
+        # between p = 13 and p = 173, a collision 3! = 6! that holds mod 17 and mod 21
+        "p is not in a stage-1 class": [lines[0], small, *lines[1:]],  # 17 = 1 (mod 8)
+        "p is not prime": [lines[0], small.replace(b"17", b"21"), *lines[1:]],  # 21 = 3 * 7 = 5 (mod 8)
     }
     for message, damaged in damages.items():
         bad = tmp_path / "bad.jsonl"
