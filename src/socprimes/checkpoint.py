@@ -1,20 +1,22 @@
 """The checkpoint format: its writer, its reader, and resume.
 
 A checkpoint is a small JSON document naming the range, the committed
-high-water mark, the counters, and the byte length, record count and
-sha256 of the results file at commit time.  Writes are atomic (tmp file +
-os.replace), and a results path that is the checkpoint or its tmp file,
-or a checkpoint in a directory that does not exist, is refused before any
-file is opened (engine._validate_config, which search shares).  Resume
-enforces what the checkpoint is for: given the range, strict_cubic or
-either size, it refuses a checkpoint of another search before it opens
-the results file.  It then checks the file's committed prefix against
-that count and digest and the bytes past the offset against the records
-the run could have written there, and truncates the file back to the
-recorded offset.  So a run killed at any instant restarts cleanly and
-reproduces the exact bytes an uninterrupted run would have produced, and
-a resume pointed at the wrong results file fails instead of adopting it,
-even when the checkpoint committed no record yet.
+high-water mark, the counters, and the byte length and sha256 of the
+results file at commit time; what those bytes hold is read from them.
+Writes are atomic (tmp file + os.replace), and a results path that is the
+checkpoint or its tmp file, or a checkpoint in a directory that does not
+exist, is refused before any file is opened (engine._validate_config,
+which search shares).  Resume enforces what the checkpoint is for: given
+the range, strict_cubic or either size, it refuses a checkpoint of another
+search before it opens the results file.  It then checks the committed
+prefix against that digest, its line count against the counters' stage-1
+survivors and, where they count a socialist prime, its Socialist records
+against that count, and the bytes past the offset against the records the
+run could have written there, and truncates the file back to the recorded
+offset.  So a run killed at any instant restarts cleanly and reproduces
+the exact bytes an uninterrupted run would have produced, and a resume
+pointed at the wrong results file fails instead of adopting it, even when
+the checkpoint committed no record yet.
 
 The engine imports this module, and with it json, on a search's first
 checkpoint write and on a resume; a run that writes no checkpoint loads
@@ -25,7 +27,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
+from itertools import islice
 from math import isfinite
 
 from .engine import (CHECKPOINT_VERSION, CheckpointError, Counters, RangeReport, SearchConfig, _run, _sha256,
@@ -38,8 +42,11 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     import hashlib
 
-#: Every checkpoint key resume reads, with its JSON type.  Other keys (such
-#: as the scan strategy block older checkpoints carry) are ignored.
+#: A Socialist record exactly as engine._segment_task writes it.
+_SOCIALIST_RECORD = re.compile(rb'\{"p":(\d+),"outcome":"Socialist"\}\n')
+
+#: Every checkpoint key resume reads, with its JSON type.  Other keys (the scan
+#: strategy block, record count or socialist list of older ones) are ignored.
 _CHECKPOINT_KEYS = {
     "version": int,
     "lo": int,
@@ -49,16 +56,14 @@ _CHECKPOINT_KEYS = {
     "checkpoint_interval": int,
     "completed_through": int,
     "counters": dict,
-    "socialist": list,
     "output_path": str,
     "output_offset": int,
-    "output_records": int,
     "output_sha256": str,
     "elapsed": float,
 }
 
 
-def _checkpoint_payload(config: SearchConfig, report: RangeReport, digest: hashlib._Hash) -> dict:
+def _checkpoint_payload(config: SearchConfig, report: RangeReport, offset: int, digest: hashlib._Hash) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "lo": report.lo,
@@ -68,10 +73,8 @@ def _checkpoint_payload(config: SearchConfig, report: RangeReport, digest: hashl
         "checkpoint_interval": config.checkpoint_interval,
         "completed_through": report.completed_through,
         "counters": report.counters.as_dict(),
-        "socialist": report.socialist_primes,
         "output_path": config.output_path,
-        "output_offset": report.output_offset,
-        "output_records": report.output_records,
+        "output_offset": offset,
         "output_sha256": digest.hexdigest(),
         "elapsed": report.wall_seconds,
     }
@@ -106,12 +109,8 @@ def _load_checkpoint(path: str) -> dict:
     counters = Counters.from_dict(payload["counters"])
     if not counters.partitioned():
         raise CheckpointError("checkpoint counters do not partition examined")
-    lo, done, socialist = payload["lo"], payload["completed_through"], payload["socialist"]
-    if not DOMAIN_START <= lo <= done <= payload["hi"]:
+    if not DOMAIN_START <= payload["lo"] <= payload["completed_through"] <= payload["hi"]:
         raise CheckpointError(f"checkpoint breaks {DOMAIN_START} <= lo <= completed_through <= hi")
-    if (len(socialist) != counters.socialist or not all(type(p) is int for p in socialist)
-            or socialist != sorted(set(socialist)) or not all(lo <= p < done for p in socialist)):
-        raise CheckpointError("checkpoint socialist list does not match its counter and committed range")
     if payload["output_offset"] < 0 or payload["checkpoint_interval"] < 1:
         raise CheckpointError("checkpoint output_offset or checkpoint_interval out of range")
     if not (isfinite(payload["elapsed"]) and payload["elapsed"] >= 0):
@@ -192,21 +191,27 @@ def resume(checkpoint_path: str, output_path: str | None, threads: int | None, s
         if os.fstat(out.fileno()).st_size < offset:
             raise CheckpointError(f"results file {out_path} is shorter than the checkpoint's offset")
         digest, records = _read_prefix(out, offset)
-        if records != payload["output_records"] or digest.hexdigest() != payload["output_sha256"]:
-            raise CheckpointError(
-                f"results file {out_path} does not start with the {payload['output_records']} records "
-                f"the checkpoint committed (found {records} lines, sha256 {digest.hexdigest()})"
-            )
+        if digest.hexdigest() != payload["output_sha256"]:
+            raise CheckpointError(f"results file {out_path} does not start with the bytes the checkpoint committed")
+        counters = Counters.from_dict(payload["counters"])
+        if records != counters.stage1_survivors:
+            raise CheckpointError(f"the checkpoint counts {counters.stage1_survivors} stage-1 survivors, but "
+                                  f"results file {out_path} commits {records} records")
         if not _tail_is_ours(out, payload["completed_through"], payload["hi"]):
             raise CheckpointError(
                 f"results file {out_path} holds bytes past the checkpoint's offset that are not "
                 f"this run's records of primes in [{payload['completed_through']}, {payload['hi']})"
             )
+        # the committed lines again, one at a time, only where the counters hold a socialist prime
+        out.seek(0)
+        socialist = [int(m[1]) for line in islice(out, records if counters.socialist else 0)
+                     if (m := _SOCIALIST_RECORD.fullmatch(line))]
+        if len(socialist) != counters.socialist:
+            raise CheckpointError(f"the checkpoint counts {counters.socialist} socialist primes, but "
+                                  f"results file {out_path} commits {len(socialist)} Socialist records")
         out.seek(offset)
         out.truncate()
 
-        report = RangeReport(payload["lo"], payload["hi"], payload["completed_through"],
-                             Counters.from_dict(payload["counters"]), payload["socialist"], out_path,
-                             wall_seconds=payload["elapsed"], resumed=True, output_offset=offset,
-                             output_records=records)
+        report = RangeReport(payload["lo"], payload["hi"], payload["completed_through"], counters, socialist,
+                             out_path, wall_seconds=payload["elapsed"], resumed=True)
         return _run(config, report, out, digest, started)

@@ -26,7 +26,10 @@ second full bitset scan before being written.  That second scan is not
 independent: above p = 4161 the birthday window default_cap(p) cannot
 cover 2! .. (p-1)!, so a Socialist verdict there already comes from the
 bitset scan and the confirmation reruns the same code.  It guards
-against a transient fault, not against a defect in that scan.
+against a transient fault, not against a defect in that scan.  The file
+is the only record of what a run committed: a checkpoint names it by byte
+length and sha256, and resume reads the record count and Socialist
+records back from those bytes.
 
 A run's state is its RangeReport, a namedtuple like every record here:
 search and resume build the first one, each commit returns the next with
@@ -149,15 +152,14 @@ class SearchConfig(namedtuple("SearchConfig", "range output_path threads strict_
 
 
 class RangeReport(namedtuple("RangeReport", "lo hi completed_through counters socialist_primes output_path "
-                             "wall_seconds resumed output_offset output_records", defaults=(0.0, False, 0, 0))):
+                             "wall_seconds resumed", defaults=(0.0, False))):
     """A search's state while it runs, and what it established once it returns.
 
     search and resume build the first one, every committed segment
     returns the next, and every checkpoint is written from the latest.
-    wall_seconds counts every leg of the search so far; output_offset and
-    output_records are the byte length and record count of the results
-    file's committed prefix, which the checkpoint stores next to its
-    sha256.
+    wall_seconds counts every leg of the search so far.  A checkpoint
+    stores the results file's committed length and sha256 alone; resume
+    reads the record count and socialist_primes back from those bytes.
     """
 
     __slots__ = ()
@@ -201,11 +203,12 @@ def _validate_config(config: SearchConfig) -> None:
 # ----------------------------------------------------------------------
 # segment work: the filter pass, then the scan of its candidates
 
-_base_primes = functools.cache(small_primes)
+# one entry, so a run with another hi drops the last one's base (76 MiB below sqrt(10^15))
+_base_primes = functools.lru_cache(maxsize=1)(small_primes)
 
 
-def _segment_task(args: tuple) -> tuple[int, Counters, list[int], bytes, int]:
-    """One segment's seg_hi, counters, socialist primes, results lines (ASCII bytes) and line count.
+def _segment_task(args: tuple) -> tuple[int, Counters, list[int], bytes]:
+    """One segment's seg_hi, counters, socialist primes and results lines (ASCII bytes).
 
     Each line is written as its record is made: json.dumps(record, separators=(",", ":")), keys in this order.
     """
@@ -228,7 +231,7 @@ def _segment_task(args: tuple) -> tuple[int, Counters, list[int], bytes, int]:
             raise ArithmeticError(f"socialist verdict for p={p} failed its confirmation scan")
     *rejected, candidates = counts
     counters = Counters(sum(counts), *rejected, collisions=candidates - len(socialist), socialist=len(socialist))
-    return seg_hi, counters, socialist, "".join(lines).encode("ascii"), len(lines)
+    return seg_hi, counters, socialist, "".join(lines).encode("ascii")
 
 
 def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
@@ -253,7 +256,7 @@ def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
 # coordinator side
 
 def _commit(report: RangeReport, out, digest: hashlib._Hash, seg_hi: int, counters: Counters,
-            socialist: list[int], data: bytes, lines: int) -> RangeReport:
+            socialist: list[int], data: bytes) -> RangeReport:
     """Append one segment's results bytes to out and digest; the report with the segment folded in."""
     for p in socialist:
         import logging  # here: logging costs every import, and only this verdict logs
@@ -266,8 +269,6 @@ def _commit(report: RangeReport, out, digest: hashlib._Hash, seg_hi: int, counte
         completed_through=seg_hi,
         counters=Counters(*map(sum, zip(report.counters, counters))),
         socialist_primes=report.socialist_primes + socialist,
-        output_offset=report.output_offset + len(data),
-        output_records=report.output_records + lines,
     )
 
 
@@ -322,7 +323,7 @@ def _run(config: SearchConfig, report: RangeReport, out, digest: hashlib._Hash, 
         report = report._replace(wall_seconds=prior_seconds + time.monotonic() - started)
         if config.checkpoint_path:
             from .checkpoint import _checkpoint_payload, _write_checkpoint  # the format and json, on the first write
-            _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, digest))
+            _write_checkpoint(config.checkpoint_path, _checkpoint_payload(config, report, out.tell(), digest))
         return report
 
     try:
@@ -367,7 +368,10 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     without.
 
     The results file must start with the bytes the checkpoint committed
-    (same record count and sha256), and anything past them must look like
+    (same length and sha256), one line for each stage-1 survivor the
+    checkpoint's counters count and, among them, one Socialist record for
+    each socialist prime they count; those records' p are the report's
+    socialist_primes.  Anything past the committed bytes must look like
     this run's uncommitted records: complete lines of primes in
     [completed_through, hi), increasing, then at most one torn line.
     Otherwise CheckpointError is raised and the file is left as it is.

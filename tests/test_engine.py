@@ -200,13 +200,25 @@ class TestDeterminism:
         # the engine writes each line by hand; json itself must write the same bytes
         report = run_search(tmp_path, 7, 3 * 10**5, segment_size=2**15, threads=threads)
         lines = Path(report.output_path).read_text(encoding="ascii").splitlines()
-        assert len(lines) == report.output_records == report.counters.stage1_survivors > 0
+        assert len(lines) == report.counters.stage1_survivors > 0
         keys = {"RejectedCubic": ["y", "x"], "Collision": ["j", "k", "residue"]}
         for line in lines:
             assert line == json.dumps(json.loads(line), separators=(",", ":"))
             rec = json.loads(line)
             assert list(rec) == ["p", "outcome", "witness"] and list(rec["witness"]) == keys[rec["outcome"]]
         assert {json.loads(line)["outcome"] for line in lines} == set(keys)
+
+
+def test_base_primes_cache_keeps_one_limit(tmp_path):
+    # a run's base primes are dropped by the next run with another hi
+    engine._base_primes.cache_clear()
+    his = (3000, 9000, 20000, 3000)
+    outputs = [Path(run_search(tmp_path, 7, hi, name=f"{i}.jsonl").output_path).read_bytes()
+               for i, hi in enumerate(his)]
+    assert engine._base_primes.cache_info().currsize == 1
+    # records come in order of p, so a shorter range's file is a prefix of a longer one's
+    assert outputs[3] == outputs[0] and outputs[2].startswith(outputs[1]) and outputs[1].startswith(outputs[0])
+    assert outputs[2] == Path(run_search(tmp_path, 7, 20000, name="again.jsonl").output_path).read_bytes()
 
 
 class TestSearchAgreesWithCountFilters:
@@ -357,9 +369,10 @@ class TestCheckpointResume:
         assert (payload["lo"], payload["hi"]) == (7, 1000)
         assert payload["completed_through"] == 1000
         assert payload["counters"] == report.counters.as_dict()
-        assert payload["socialist"] == []
+        # no record count or socialist list: resume reads both from the results file
+        assert list(payload) == list(checkpoint._CHECKPOINT_KEYS) and len(payload) == 12
         assert payload["output_offset"] == len(results)
-        assert payload["output_records"] == results.count(b"\n") == 10
+        assert results.count(b"\n") == report.counters.stage1_survivors == 10
         assert payload["output_sha256"] == hashlib.sha256(results).hexdigest()
 
 
@@ -602,14 +615,18 @@ def stopped_checkpoint(tmp_path_factory):
 @st.composite
 def damaged(draw, payload):
     """payload with one key dropped or retyped, a committed-output key
-    given another value of its type, or a non-object document."""
+    given another value of its type, one count moved from collisions to
+    socialist, or a non-object document."""
     how = draw(st.sampled_from(("drop", "retype", "tamper", "replace")))
     if how == "replace":
         return draw(st.sampled_from(NOT_OBJECTS))
     doc = copy.deepcopy(payload)
     if how == "tamper":
-        key = draw(st.sampled_from(("output_offset", "output_records", "output_sha256")))
-        if key == "output_sha256":
+        key = draw(st.sampled_from(("output_offset", "output_sha256", "socialist")))
+        if key == "socialist":
+            doc["counters"]["collisions"] -= 1
+            doc["counters"]["socialist"] += 1
+        elif key == "output_sha256":
             i = draw(st.integers(0, len(doc[key]) - 1))
             doc[key] = doc[key][:i] + ("0" if doc[key][i] != "0" else "1") + doc[key][i + 1:]
         else:
@@ -725,13 +742,14 @@ class TestCheckpointValidation:
         resumed = resume(str(ckpt), threads=2)
         assert resumed.complete and resumed.counters == full.counters and resumed.wall_seconds >= 1.5
         assert Path(head.output_path).read_bytes() == Path(full.output_path).read_bytes()
-        assert list(json.loads(ckpt.read_text())) == list(payload)
+        # written back with the 12 keys: the record count and socialist primes come from the results file
+        assert list(json.loads(ckpt.read_text())) == [k for k in payload if k not in ("socialist", "output_records")]
 
     def test_version_1_checkpoint_is_refused(self, tmp_path):
-        # version 1 carried no record count or digest for its results file
+        # version 1 carried no digest for its results file
         ckpt, payload = make_checkpoint(tmp_path)
         payload["version"] = 1
-        del payload["output_records"], payload["output_sha256"]
+        del payload["output_sha256"]
         self.rewrite(ckpt, payload)
         with pytest.raises(CheckpointError):
             resume(ckpt)
@@ -805,7 +823,7 @@ class TestCheckpointValidation:
         "repeated-socialist", "socialist-past-high-water",
         "negative-elapsed", "nan-elapsed", "infinite-elapsed",
     ])
-    def test_values_no_search_writes_are_refused(self, tmp_path, damage):
+    def test_values_no_search_writes_are_refused(self, tmp_path, capsys, damage):
         # each passes the type checks and keeps the counters partitioned
         ckpt, payload = make_checkpoint(tmp_path)
         c = payload["counters"]
@@ -830,11 +848,41 @@ class TestCheckpointValidation:
             payload["elapsed"] = {"negative-elapsed": -1e6, "nan-elapsed": float("nan"),
                                   "infinite-elapsed": float("inf")}[damage]
         self.rewrite(ckpt, payload)
+        if damage == "false-discovery":
+            # resume reads no socialist list: neither the results file nor the counters name such a prime
+            full = run_search(tmp_path, 7, 3000, name="full.jsonl", segment_size=512)
+            assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 0
+            assert "SOCIALIST" not in capsys.readouterr().out
+            assert Path(payload["output_path"]).read_bytes() == Path(full.output_path).read_bytes()
+            return
         files = [Path(ckpt), Path(payload["output_path"])]
         before = [f.read_bytes() for f in files]
         with pytest.raises(CheckpointError):
             resume(ckpt)
         assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
+        assert [f.read_bytes() for f in files] == before
+
+    @pytest.mark.parametrize("edit", ["socialist-claimed", "cubic-and-examined"])
+    def test_counts_the_results_file_contradicts_are_refused(self, tmp_path, capsys, edit):
+        # each keeps the counters partitioned; the first also keeps the stage-1 survivors
+        ckpt, payload = make_checkpoint(tmp_path)
+        c = payload["counters"]
+        if edit == "socialist-claimed":
+            c["collisions"] -= 1
+            c["socialist"] += 1
+            payload["socialist"] = [13]
+            message = "counts 1 socialist primes, but .* commits 0 Socialist records"
+        else:
+            c["examined"] += 1
+            c["rejected_cubic"] += 1
+            message = "stage-1 survivors, but .* commits"
+        self.rewrite(ckpt, payload)
+        files = [Path(ckpt), Path(payload["output_path"])]
+        before = [f.read_bytes() for f in files]
+        with pytest.raises(CheckpointError, match=message):
+            resume(ckpt)
+        assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
+        assert "SOCIALIST" not in capsys.readouterr().out
         assert [f.read_bytes() for f in files] == before
 
 
@@ -948,11 +996,11 @@ class TestScanGuards:
             engine._segment_task(SEGMENT_OF_13)
 
     def test_confirmed_socialist_verdict(self, scanned_socialist):
-        seg_hi, counters, socialist, data, lines = engine._segment_task(SEGMENT_OF_13)
+        seg_hi, counters, socialist, data = engine._segment_task(SEGMENT_OF_13)
         assert scanned_socialist == ["verify_distinct", "scan_bitset"]
         assert json.loads(data.decode("ascii")) == {"p": 13, "outcome": "Socialist"}
         assert data == (json.dumps({"p": 13, "outcome": "Socialist"}, separators=(",", ":")) + "\n").encode()
-        assert lines == 1
+        assert checkpoint._SOCIALIST_RECORD.fullmatch(data)[1] == b"13"
         assert (seg_hi, socialist) == (14, [13])
         assert counters == Counters(examined=1, socialist=1)
 
@@ -973,14 +1021,30 @@ class TestSocialistPath:
         with caplog.at_level(logging.CRITICAL, logger="socprimes.engine"):
             report = _commit(before, out, digest, *result)
         # the report passed in, and the list it holds, are left as they were
-        assert before == (7, 100, 13, Counters(), [], "out.jsonl", 0.0, False, 0, 0)
+        assert before == (7, 100, 13, Counters(), [], "out.jsonl", 0.0, False)
         assert scanned_socialist == ["verify_distinct", "scan_bitset"]
         assert report.socialist_primes == [13]
         assert "SOCIALIST PRIME FOUND: p=13" in caplog.text
         assert json.loads(out.getvalue().decode("ascii")) == {"p": 13, "outcome": "Socialist"}
         assert out.getvalue() == data and digest.hexdigest() == hashlib.sha256(data).hexdigest()
-        assert (report.output_offset, report.output_records) == (len(data), 1)
         assert report.counters.socialist == 1 and report.completed_through == 14
+
+    def test_committed_socialist_record_is_read_back_on_resume(self, tmp_path, monkeypatch, scanned_socialist):
+        # segments of width 7 from 7: the first, [7, 14), has one candidate, 13
+        ckpt = tmp_path / "c.json"
+        run_search(tmp_path, 7, 3000, name="part.jsonl", segment_size=7, checkpoint_path=str(ckpt),
+                   stop_after_segments=1)
+        assert scanned_socialist == ["verify_distinct", "scan_bitset"]
+        assert "socialist" not in json.loads(ckpt.read_text())
+        monkeypatch.undo()  # the real scans from here on: 13 is a Socialist record only in the file
+        full = run_search(tmp_path, 7, 3000, name="full.jsonl", segment_size=7)
+        report = resume(str(ckpt))
+        assert report.complete and report.socialist_primes == [13]
+        assert report.counters == full.counters._replace(collisions=full.counters.collisions - 1, socialist=1)
+        want = Path(full.output_path).read_bytes()
+        first = want.index(b"\n") + 1
+        assert json.loads(want[:first])["p"] == 13
+        assert (tmp_path / "part.jsonl").read_bytes() == b'{"p":13,"outcome":"Socialist"}\n' + want[first:]
 
     def test_verdict_five_is_socialist_shaped(self):
         # the scan machinery itself must keep recognising the one known case
