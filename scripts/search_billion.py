@@ -11,7 +11,7 @@ search does: 1 for a checkpoint of another range than [7, --to) or one
 its results file does not match, an I/O error, or a leg whose pool lost
 a worker (rerun to resume); 64 for a bad argument such as --threads 0 or
 an --out that is the checkpoint.  --threads defaults as socprimes search
-does: to SOCPRIMES_THREADS, else the CPU count.
+does: to the CPU count.
 
     python3 scripts/search_billion.py --threads 4
     python3 scripts/search_billion.py --threads 4   # picks up where it left off
@@ -23,7 +23,7 @@ import sys
 import time
 
 from socprimes import PrimeRange, SearchConfig, resume, search
-from socprimes.cli import _RUNTIME_ERRORS, _default_threads
+from socprimes.cli import _RUNTIME_ERRORS
 
 
 def progress_line(report) -> str:
@@ -45,16 +45,15 @@ def main() -> int:
     ap.add_argument("--out", help="results file (default billion.jsonl, or the checkpoint's)")
     ap.add_argument("--checkpoint", default="billion.ckpt",
                     help="checkpoint file; delete it to start over (default billion.ckpt)")
-    ap.add_argument("--threads", type=int,
-                    help="worker processes (default SOCPRIMES_THREADS, else CPU count)")
+    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="worker processes (default the CPU count)")
     ap.add_argument("--segments-per-leg", type=int, default=256,
                     help="segments per leg, i.e. between progress lines, rounded up to a multiple "
                          "of --threads (default 256, about 17M numbers)")
     args = ap.parse_args()
-    threads = args.threads if args.threads is not None else _default_threads()
 
     def leg():
-        return resume(args.checkpoint, args.out, threads, args.segments_per_leg, lo=7, hi=args.to)
+        return resume(args.checkpoint, args.out, args.threads, args.segments_per_leg, lo=7, hi=args.to)
 
     if os.path.exists(args.checkpoint):
         print(f"resuming from {args.checkpoint}")
@@ -63,7 +62,7 @@ def main() -> int:
         report = search(SearchConfig(
             range=PrimeRange(7, args.to),
             output_path=args.out or "billion.jsonl",
-            threads=threads,
+            threads=args.threads,
             checkpoint_path=args.checkpoint,
             stop_after_segments=args.segments_per_leg,
         ))

@@ -33,8 +33,7 @@ __all__ = [
 #: fp_statistic allocates one byte per residue; refuse beyond this.
 TABLE_LIMIT = 1 << 28
 
-#: fp_histogram is quadratic in its limit; refuse beyond this unless the
-#: caller raises the budget explicitly.
+#: fp_histogram is quadratic in its limit; refuse beyond this.
 DEFAULT_HISTOGRAM_BUDGET = 10**7
 
 
@@ -65,20 +64,20 @@ def fp_statistic(p: int) -> int:
     return table.count(0)
 
 
-def fp_histogram(limit: int, *, jobs: int = 1, budget: int = DEFAULT_HISTOGRAM_BUDGET) -> FpHistogram:
+def fp_histogram(limit: int, *, jobs: int = 1) -> FpHistogram:
     """Histogram of F(p) over primes 5 <= p < limit.
 
-    Total work is quadratic in limit (each prime costs O(p)), so the
-    budget guard is deliberate friction: pass a larger budget to confirm
-    a long scan is intended.  The primes go to the workers in chunks of
-    64, and min(jobs, chunks) workers scan them: more than one runs in a
+    Total work is quadratic in limit (each prime costs O(p)), so a limit
+    above DEFAULT_HISTOGRAM_BUDGET, some CPU-days of scanning, is
+    refused.  The primes go to the workers in chunks of 64, and
+    min(jobs, chunks) workers scan them: more than one runs in a
     concurrent.futures pool, imported only then (it loads multiprocessing
     and threading); a worker that dies raises BrokenProcessPool.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if limit > budget:
-        raise ValueError(f"limit {limit} exceeds the histogram budget {budget}; raise budget= to confirm")
+    if limit > DEFAULT_HISTOGRAM_BUDGET:
+        raise ValueError(f"limit {limit} exceeds the histogram budget {DEFAULT_HISTOGRAM_BUDGET}")
     primes = list(enumerate_primes(PrimeRange(5, max(limit, 5))))
     workers = min(jobs, -(-len(primes) // 64))
     if workers > 1:

@@ -11,7 +11,8 @@ the range, strict_cubic or either size, it refuses a checkpoint of another
 search before it opens the results file.  It then checks the committed
 prefix against that digest, its line count against the counters' stage-1
 survivors and, where they count a socialist prime, its Socialist records
-against that count, and the bytes past the offset against the records the
+against that count, its first and last records against [lo,
+completed_through), and the bytes past the offset against the records the
 run could have written there, and truncates the file back to the recorded
 offset.  So a run killed at any instant restarts cleanly and reproduces
 the exact bytes an uninterrupted run would have produced, and a resume
@@ -44,6 +45,9 @@ if TYPE_CHECKING:
 
 #: A Socialist record exactly as engine._segment_task writes it.
 _SOCIALIST_RECORD = re.compile(rb'\{"p":(\d+),"outcome":"Socialist"\}\n')
+
+#: The start of every record engine._segment_task writes, up to its p.
+_RECORD_P = re.compile(rb'\{"p":(\d+),')
 
 #: Every checkpoint key resume reads, with its JSON type.  Other keys (the scan
 #: strategy block, record count or socialist list of older ones) are ignored.
@@ -209,6 +213,15 @@ def resume(checkpoint_path: str, output_path: str | None, threads: int | None, s
         if len(socialist) != counters.socialist:
             raise CheckpointError(f"the checkpoint counts {counters.socialist} socialist primes, but "
                                   f"results file {out_path} commits {len(socialist)} Socialist records")
+        if records:  # the first and the last committed record, by two short reads: a record is under 256 bytes
+            out.seek(0)
+            first = _RECORD_P.match(out.readline(256))
+            out.seek(max(0, offset - 256))
+            tail = out.read(min(offset, 256))
+            last = _RECORD_P.match(tail, tail.rfind(b"\n", 0, -1) + 1)
+            if not (first and last and payload["lo"] <= int(first[1]) and int(last[1]) < payload["completed_through"]):
+                raise CheckpointError(f"results file {out_path} commits records outside the checkpoint's "
+                                      f"[{payload['lo']}, {payload['completed_through']})")
         out.seek(offset)
         out.truncate()
 

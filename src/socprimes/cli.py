@@ -50,19 +50,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SOCPRIMES_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"SOCPRIMES_THREADS must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got SOCPRIMES_THREADS={env!r}")
-        return threads
-    return os.cpu_count() or 1
-
-
 def _report_as_dict(report: RangeReport) -> dict:
     c = report.counters
     return {
@@ -92,9 +79,8 @@ def _print_report(report: RangeReport) -> None:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.checkpoint and os.path.exists(args.checkpoint):
-        report = resume(args.checkpoint, args.out, threads, args.stop_after_segments, lo=args.lo, hi=args.hi,
+        report = resume(args.checkpoint, args.out, args.threads, args.stop_after_segments, lo=args.lo, hi=args.hi,
                         strict_cubic=args.strict_cubic, segment_size=args.segment_size,
                         checkpoint_interval=args.checkpoint_interval)
     else:
@@ -107,7 +93,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         config = SearchConfig(
             range=PrimeRange(args.lo, args.hi, segment_size),
             output_path=args.out or "results.jsonl",
-            threads=threads,
+            threads=args.threads,
             strict_cubic=bool(args.strict_cubic),
             checkpoint_path=args.checkpoint,
             checkpoint_interval=interval,
@@ -151,7 +137,7 @@ def _cmd_filter_counts(args: argparse.Namespace) -> int:
 
 
 def _cmd_fp_stats(args: argparse.Namespace) -> int:
-    hist = fp_histogram(args.max, jobs=args.jobs, budget=args.budget)
+    hist = fp_histogram(args.max, jobs=args.jobs)
     alarm = [p for p in hist.min_f_primes if p > 5] if hist.min_f == 2 else []
     if args.json:
         print(json.dumps({
@@ -234,8 +220,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--checkpoint-interval", type=int, metavar="SEGS",
                     help=f"segments between checkpoint writes (default {DEFAULT_CHECKPOINT_INTERVAL}; "
                          "a resume must match the checkpoint's)")
-    sp.add_argument("--threads", type=int, metavar="N",
-                    help="worker processes (default SOCPRIMES_THREADS, else CPU count)")
+    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="N",
+                    help="worker processes (default the CPU count)")
     sp.add_argument("--segment-size", type=int, metavar="N",
                     help=f"segment width (default {DEFAULT_SEGMENT_SIZE}; a resume must match the checkpoint's)")
     sp.add_argument("--strict-cubic", action="store_true", default=None,
@@ -259,10 +245,9 @@ def _build_parser() -> _Parser:
     fp.set_defaults(func=_cmd_filter_counts, parser=fp)
 
     hp = sub.add_parser("fp-stats", help="histogram of F(p), the count of residues factorials miss")
-    hp.add_argument("--max", type=int, required=True, metavar="N", help="scan primes 5 <= p < N")
+    hp.add_argument("--max", type=int, required=True, metavar="N",
+                    help=f"scan primes 5 <= p < N; N above {DEFAULT_HISTOGRAM_BUDGET} is refused")
     hp.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel scan processes (default 1)")
-    hp.add_argument("--budget", type=int, default=DEFAULT_HISTOGRAM_BUDGET, metavar="N",
-                    help=f"refuse --max beyond this (default {DEFAULT_HISTOGRAM_BUDGET})")
     hp.add_argument("--json", action="store_true", help="emit the histogram as JSON")
     hp.set_defaults(func=_cmd_fp_stats, parser=hp)
 

@@ -329,7 +329,8 @@ def _run(config: SearchConfig, report: RangeReport, out, digest: hashlib._Hash, 
     try:
         for committed, result in enumerate(results, 1):
             report = _commit(report, out, digest, *result)
-            if config.checkpoint_path and committed % config.checkpoint_interval == 0:
+            # the leg's last segment is left to the persist below
+            if config.checkpoint_path and committed % config.checkpoint_interval == 0 and committed < segments:
                 report = persist(report)
     finally:
         results.close()
@@ -368,11 +369,11 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     without.
 
     The results file must start with the bytes the checkpoint committed
-    (same length and sha256), one line for each stage-1 survivor the
-    checkpoint's counters count and, among them, one Socialist record for
-    each socialist prime they count; those records' p are the report's
-    socialist_primes.  Anything past the committed bytes must look like
-    this run's uncommitted records: complete lines of primes in
+    (same length and sha256): a line for each stage-1 survivor its counters
+    count, the first and the last of primes in [lo, completed_through), and
+    a Socialist record for each socialist prime they count, whose p are the
+    report's socialist_primes.  Anything past them must look like this
+    run's uncommitted records: complete lines of primes in
     [completed_through, hi), increasing, then at most one torn line.
     Otherwise CheckpointError is raised and the file is left as it is.
     It is then truncated back to the checkpointed byte offset, discarding

@@ -319,39 +319,6 @@ class TestHeuristic:
         assert "error" in capsys.readouterr().err
 
 
-class TestThreadsEnv:
-    def test_env_used(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SOCPRIMES_THREADS", "2")
-        out = str(tmp_path / "r.jsonl")
-        code, doc = run_json(capsys, ["search", "--from", "7", "--to", "1000",
-                                      "--out", out, "--json"])
-        assert code == 0 and doc["counters"]["examined"] == 165
-
-    def test_env_invalid(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SOCPRIMES_THREADS", "soon")
-        code = main(["search", "--from", "7", "--to", "100",
-                     "--out", str(tmp_path / "r.jsonl")])
-        assert code == 64
-        assert "SOCPRIMES_THREADS" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("env", ["0", "-3"])
-    def test_env_not_positive(self, capsys, tmp_path, monkeypatch, env):
-        monkeypatch.setenv("SOCPRIMES_THREADS", env)
-        out = tmp_path / "r.jsonl"
-        code = main(["search", "--from", "7", "--to", "100", "--out", str(out)])
-        assert code == 64
-        err = capsys.readouterr().err
-        assert "threads must be >= 1" in err and "SOCPRIMES_THREADS" in err
-        assert not out.exists()
-
-    def test_explicit_flag_wins(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SOCPRIMES_THREADS", "soon")
-        out = str(tmp_path / "r.jsonl")
-        code, doc = run_json(capsys, ["search", "--from", "7", "--to", "100",
-                                      "--out", out, "--threads", "1", "--json"])
-        assert code == 0 and doc["counters"]["examined"] == 22
-
-
 class TestEntryPoints:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

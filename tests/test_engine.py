@@ -375,6 +375,26 @@ class TestCheckpointResume:
         assert results.count(b"\n") == report.counters.stage1_survivors == 10
         assert payload["output_sha256"] == hashlib.sha256(results).hexdigest()
 
+    @pytest.mark.parametrize("interval, stop, written", [
+        (1, 2, [519, 1031]),
+        (2, 2, [1031]),
+        (2, 3, [1031, 1543]),
+        (2, None, [1031, 2055, 2560]),
+    ], ids=["interval-1", "interval-2", "stop-past-interval", "to-the-end"])
+    def test_one_checkpoint_per_committed_state(self, tmp_path, monkeypatch, interval, stop, written):
+        # a leg whose last segment is also an interval's writes it once
+        seen = []
+        write = checkpoint._write_checkpoint
+
+        def recording_write(path, payload):
+            seen.append(payload["completed_through"])
+            write(path, payload)
+
+        monkeypatch.setattr(checkpoint, "_write_checkpoint", recording_write)
+        run_search(tmp_path, 7, 2560, segment_size=512, checkpoint_path=str(tmp_path / "c.json"),
+                   checkpoint_interval=interval, stop_after_segments=stop)
+        assert seen == written
+
 
 class CountingPool(concurrent.futures.ProcessPoolExecutor):
     """The engine's process pool, recording its size and counting every segment handed to it.
@@ -883,6 +903,26 @@ class TestCheckpointValidation:
             resume(ckpt)
         assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
         assert "SOCIALIST" not in capsys.readouterr().out
+        assert [f.read_bytes() for f in files] == before
+
+    @pytest.mark.parametrize("edit", ["high-water-lowered", "lo-raised"])
+    def test_range_that_misses_committed_records_is_refused(self, tmp_path, edit):
+        # [7, 1031) commits the records of 13 .. 1013.  Resumed from 519, a run
+        # would write 653 .. 1013 a second time; from lo 100, it would report
+        # [100, 3000) over a file that starts at 13
+        ckpt, payload = make_checkpoint(tmp_path)
+        assert payload["completed_through"] == 1031
+        if edit == "high-water-lowered":
+            payload["completed_through"] -= 512
+        else:
+            payload["lo"] = 100
+        self.rewrite(ckpt, payload)
+        files = [Path(ckpt), Path(payload["output_path"])]
+        before = [f.read_bytes() for f in files]
+        span = r"\[7, 519\)" if edit == "high-water-lowered" else r"\[100, 1031\)"
+        with pytest.raises(CheckpointError, match=r"commits records outside the checkpoint's " + span):
+            resume(ckpt)
+        assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
         assert [f.read_bytes() for f in files] == before
 
 
