@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Drive the search over [7, 10^9) in resumable legs with progress lines.
 
-The whole run takes a few CPU-hours single-threaded.  It can be killed
-at any point and simply rerun with the same arguments: the checkpoint
+The whole run takes a few CPU-hours single-threaded.  Segments are as
+wide as socprimes search makes them (primes.segment_size_for: 2^19 for
+[7, 10^9)), with a checkpoint about every 2^20 numbers and, by default,
+a leg and its progress line about every 2^24.  The run can be killed at
+any point and simply rerun with the same arguments: the checkpoint
 carries the committed high-water mark, the counters and the results
 offset, and the finished results file is byte-identical to what one
 uninterrupted run would have written.  A resume writes to --out when
@@ -24,6 +27,7 @@ import time
 
 from socprimes import PrimeRange, SearchConfig, resume, search
 from socprimes.cli import _RUNTIME_ERRORS
+from socprimes.primes import segment_size_for
 
 
 def progress_line(report) -> str:
@@ -47,10 +51,13 @@ def main() -> int:
                     help="checkpoint file; delete it to start over (default billion.ckpt)")
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="worker processes (default the CPU count)")
-    ap.add_argument("--segments-per-leg", type=int, default=256,
+    ap.add_argument("--segments-per-leg", type=int,
                     help="segments per leg, i.e. between progress lines, rounded up to a multiple "
-                         "of --threads (default 256, about 17M numbers)")
+                         "of --threads (default about 2^24 numbers: 256 segments of 2^16, 32 of 2^19)")
     args = ap.parse_args()
+    size = segment_size_for(7, args.to, args.threads)
+    if args.segments_per_leg is None:
+        args.segments_per_leg = max(1, 2**24 // size)
 
     def leg():
         return resume(args.checkpoint, args.out, args.threads, args.segments_per_leg, lo=7, hi=args.to)
@@ -60,10 +67,11 @@ def main() -> int:
         report = leg()
     else:
         report = search(SearchConfig(
-            range=PrimeRange(7, args.to),
+            range=PrimeRange(7, args.to, size),
             output_path=args.out or "billion.jsonl",
             threads=args.threads,
             checkpoint_path=args.checkpoint,
+            checkpoint_interval=max(1, 2**20 // size),
             stop_after_segments=args.segments_per_leg,
         ))
 

@@ -7,17 +7,19 @@ Writes are atomic (tmp file + os.replace), and a results path that is the
 checkpoint or its tmp file, or a checkpoint in a directory that does not
 exist, is refused before any file is opened (engine._validate_config,
 which search shares).  Resume enforces what the checkpoint is for: given
-the range, strict_cubic or either size, it refuses a checkpoint of another
-search before it opens the results file.  It then checks the committed
-prefix against that digest, its line count against the counters' stage-1
-survivors and, where they count a socialist prime, its Socialist records
-against that count, its first and last records against [lo,
-completed_through), and the bytes past the offset against the records the
-run could have written there, and truncates the file back to the recorded
-offset.  So a run killed at any instant restarts cleanly and reproduces
-the exact bytes an uninterrupted run would have produced, and a resume
-pointed at the wrong results file fails instead of adopting it, even when
-the checkpoint committed no record yet.
+the range or strict_cubic, it refuses a checkpoint of another search
+before it opens the results file; the segment size and checkpoint interval
+are the checkpoint's own.  It then checks the committed prefix against
+that digest, its line count against the counters' stage-1 survivors and,
+where they count a socialist prime, its Socialist records against that
+count, its first and last records against [lo, completed_through),
+completed_through against the segment grid every leg stops on, and the
+bytes past the offset against the records the run could have written
+there, and truncates the file back to the recorded offset.  So a run
+killed at any instant restarts cleanly and reproduces the exact bytes an
+uninterrupted run would have produced, and a resume pointed at the wrong
+results file fails instead of adopting it, even when the checkpoint
+committed no record yet.
 
 The engine imports this module, and with it json, on a search's first
 checkpoint write and on a resume; a run that writes no checkpoint loads
@@ -155,8 +157,7 @@ def _tail_is_ours(fh, lo: int, hi: int) -> bool:
 
 
 def resume(checkpoint_path: str, output_path: str | None, threads: int | None, stop_after_segments: int | None,
-           *, lo: int | None, hi: int | None, strict_cubic: bool | None, segment_size: int | None,
-           checkpoint_interval: int | None) -> RangeReport:
+           *, lo: int | None, hi: int | None, strict_cubic: bool | None) -> RangeReport:
     """engine.resume's body, with every argument given; engine.resume documents it."""
     payload = _load_checkpoint(checkpoint_path)
     started = time.monotonic()
@@ -165,10 +166,9 @@ def resume(checkpoint_path: str, output_path: str | None, threads: int | None, s
     if want != have:
         raise CheckpointError(f"checkpoint {checkpoint_path} is for the range [{have[0]}, {have[1]}), "
                               f"not [{want[0]}, {want[1]})")
-    for key, given in (("strict_cubic", strict_cubic), ("segment_size", segment_size),
-                       ("checkpoint_interval", checkpoint_interval)):
-        if given is not None and given != payload[key]:
-            raise CheckpointError(f"checkpoint {checkpoint_path} has {key} {payload[key]}, not {given}")
+    if strict_cubic is not None and strict_cubic != payload["strict_cubic"]:
+        raise CheckpointError(f"checkpoint {checkpoint_path} has strict_cubic {payload['strict_cubic']}, "
+                              f"not {strict_cubic}")
     out_path = output_path or payload["output_path"]
     offset = payload["output_offset"]
     try:
@@ -222,6 +222,11 @@ def resume(checkpoint_path: str, output_path: str | None, threads: int | None, s
             if not (first and last and payload["lo"] <= int(first[1]) and int(last[1]) < payload["completed_through"]):
                 raise CheckpointError(f"results file {out_path} commits records outside the checkpoint's "
                                       f"[{payload['lo']}, {payload['completed_through']})")
+        # every leg stops at hi or on the segment grid; a mark moved elsewhere would count primes twice
+        through = payload["completed_through"]
+        if through != rng.hi and (through - rng.lo) % rng.segment_size:
+            raise CheckpointError(f"checkpoint completed_through {through} is neither hi nor lo plus a "
+                                  f"multiple of its segment_size {rng.segment_size}")
         out.seek(offset)
         out.truncate()
 

@@ -20,9 +20,9 @@ from .analytics import (
     heuristic,
     scientific_from_log,
 )
-from .engine import DEFAULT_CHECKPOINT_INTERVAL, RangeReport, SearchConfig, count_filters, resume, search
+from .engine import RangeReport, SearchConfig, count_filters, resume, search
 from .filters import OUTCOMES
-from .primes import DEFAULT_SEGMENT_SIZE, PrimeRange
+from .primes import PrimeRange, segment_size_for
 from .verifier import VerdictKind, verify_distinct
 
 __all__ = ["LABELS", "main"]
@@ -81,22 +81,20 @@ def _print_report(report: RangeReport) -> None:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.checkpoint and os.path.exists(args.checkpoint):
         report = resume(args.checkpoint, args.out, args.threads, args.stop_after_segments, lo=args.lo, hi=args.hi,
-                        strict_cubic=args.strict_cubic, segment_size=args.segment_size,
-                        checkpoint_interval=args.checkpoint_interval)
+                        strict_cubic=args.strict_cubic)
     else:
         if args.lo is None or args.hi is None:
             args.parser.error("--from and --to are required unless resuming from a checkpoint")
-        # the two sizes and --strict-cubic default to None so that a resume can
-        # tell "not given" from a value the checkpoint must match
-        segment_size = DEFAULT_SEGMENT_SIZE if args.segment_size is None else args.segment_size
-        interval = DEFAULT_CHECKPOINT_INTERVAL if args.checkpoint_interval is None else args.checkpoint_interval
+        # --strict-cubic defaults to None so that a resume can tell "not
+        # given" from a value the checkpoint must match
+        size = segment_size_for(args.lo, args.hi, args.threads)
         config = SearchConfig(
-            range=PrimeRange(args.lo, args.hi, segment_size),
+            range=PrimeRange(args.lo, args.hi, size),
             output_path=args.out or "results.jsonl",
             threads=args.threads,
             strict_cubic=bool(args.strict_cubic),
             checkpoint_path=args.checkpoint,
-            checkpoint_interval=interval,
+            checkpoint_interval=max(1, 2**20 // size),  # about 2^20 numbers between checkpoints
             stop_after_segments=args.stop_after_segments,
         )
         report = search(config)
@@ -217,17 +215,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--to", dest="hi", type=int, metavar="N", help="range end, exclusive")
     sp.add_argument("--out", metavar="PATH", help="results JSONL file (default results.jsonl, or the checkpoint's)")
     sp.add_argument("--checkpoint", metavar="PATH", help="checkpoint file; if it exists the run resumes from it")
-    sp.add_argument("--checkpoint-interval", type=int, metavar="SEGS",
-                    help=f"segments between checkpoint writes (default {DEFAULT_CHECKPOINT_INTERVAL}; "
-                         "a resume must match the checkpoint's)")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="N",
                     help="worker processes (default the CPU count)")
-    sp.add_argument("--segment-size", type=int, metavar="N",
-                    help=f"segment width (default {DEFAULT_SEGMENT_SIZE}; a resume must match the checkpoint's)")
     sp.add_argument("--strict-cubic", action="store_true", default=None,
                     help="test every cubic root even when (1957/p) = +1 (a resume must match the checkpoint's)")
     sp.add_argument("--stop-after-segments", type=int, metavar="N",
-                    help="commit N segments, rounded up to a multiple of --threads, write a checkpoint, and stop")
+                    help="commit N segments, rounded up to a multiple of --threads, write a checkpoint, and stop; "
+                         "a segment is 2^16 to 2^22 numbers, worked out from the range (see README)")
     sp.add_argument("--json", action="store_true", help="emit the final report as JSON")
     sp.set_defaults(func=_cmd_search, parser=sp)
 

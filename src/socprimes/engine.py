@@ -54,7 +54,7 @@ from math import isqrt
 
 from .filters import DOMAIN_START, OUTCOMES, domain, segment_outcomes
 from .filters import run_pipeline  # unused; kept bound because perfbench/spans.py wraps engine.run_pipeline
-from .primes import PrimeRange, segment_flags, small_primes
+from .primes import PrimeRange, segment_flags, segment_size_for, small_primes
 from .primes import primes_in_segment  # unused; kept bound because perfbench/spans.py wraps engine.primes_in_segment
 from .verifier import VerdictKind, recheck_witness, scan_bitset, verify_distinct
 from .verifier import factorial_mod  # unused; kept bound because perfbench/spans.py wraps engine.factorial_mod
@@ -238,10 +238,10 @@ def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
     """Tally every pipeline outcome for primes in [lo, hi): a search's filter pass alone.
 
     The primes walked are those in domain(lo, hi), as in a search, in
-    segments of the default width; the counts still record the lo and hi
-    asked for.
+    segments of primes.segment_size_for's width; the counts still record
+    the lo and hi asked for.
     """
-    rng = PrimeRange(*domain(lo, hi))
+    rng = PrimeRange(*domain(lo, hi), segment_size_for(lo, hi))
     base = small_primes(isqrt(max(rng.hi - 1, 2)))
     tally, survivors = [0] * len(OUTCOMES), []
     for seg_lo, seg_hi in rng.segments():
@@ -354,19 +354,20 @@ def search(config: SearchConfig) -> RangeReport:
 
 def resume(checkpoint_path: str, output_path: str | None = None,
            threads: int | None = None, stop_after_segments: int | None = None, *,
-           lo: int | None = None, hi: int | None = None, strict_cubic: bool | None = None,
-           segment_size: int | None = None, checkpoint_interval: int | None = None) -> RangeReport:
+           lo: int | None = None, hi: int | None = None, strict_cubic: bool | None = None) -> RangeReport:
     """Continue a checkpointed search to completion (or the next stop).
 
     The keyword arguments say which search the caller means, and a
     checkpoint written for another one raises CheckpointError before any
     file is opened: lo and hi, where given, must match the checkpoint's
     range once clamped the way search clamps them (the other end defaults
-    to the checkpoint's); strict_cubic, segment_size and
-    checkpoint_interval, where given, must equal the checkpoint's, since
-    the run takes all three from it.  So strict_cubic=True needs a
-    checkpoint of a strict search, and strict_cubic=False one of a search
-    without.
+    to the checkpoint's); strict_cubic, where given, must equal the
+    checkpoint's, since the run takes it from there.  So strict_cubic=True
+    needs a checkpoint of a strict search, and strict_cubic=False one of a
+    search without.  The segment size and checkpoint interval are always
+    the checkpoint's, and its completed_through must be hi or lie on its
+    segment grid, lo plus a multiple of the segment size, where every leg
+    stops.
 
     The results file must start with the bytes the checkpoint committed
     (same length and sha256): a line for each stage-1 survivor its counters
@@ -383,5 +384,4 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     from . import checkpoint  # the format, resume's checks and json load with the first resume
 
     return checkpoint.resume(checkpoint_path, output_path, threads, stop_after_segments, lo=lo, hi=hi,
-                             strict_cubic=strict_cubic, segment_size=segment_size,
-                             checkpoint_interval=checkpoint_interval)
+                             strict_cubic=strict_cubic)

@@ -14,9 +14,25 @@ from collections.abc import Iterator, Sequence
 from itertools import compress
 from math import isqrt
 
-__all__ = ["small_primes", "PrimeRange", "enumerate_primes", "primes_in_segment", "segment_flags"]
+__all__ = ["small_primes", "PrimeRange", "enumerate_primes", "primes_in_segment", "segment_flags",
+           "segment_size_for"]
 
 DEFAULT_SEGMENT_SIZE = 1 << 16
+
+
+def segment_size_for(lo: int, hi: int, threads: int = 1) -> int:
+    """A search's segment size for [lo, hi) on `threads` workers.
+
+    The smallest power of two >= 16 * sqrt(hi), within [2^16, 2^22], so
+    that sieving and the filter pass stay cheap per prime as the base
+    primes grow; then halved, never below 2^16, while the range would
+    leave a worker without a segment.  Every hi <= 2^24 gets 2^16.
+    """
+    # 2^k >= 16 * sqrt(hi) exactly when 2^(2k) >= 256 * hi
+    size = 1 << min(22, max(16, ((256 * hi - 1).bit_length() + 1) // 2))
+    while size > DEFAULT_SEGMENT_SIZE and hi - lo <= (threads - 1) * size:
+        size //= 2
+    return size
 
 
 def small_primes(limit: int) -> list[int]:

@@ -9,8 +9,9 @@ import pytest
 
 from socprimes import checkpoint
 from socprimes.cli import LABELS, main
-from socprimes.engine import Counters
+from socprimes.engine import Counters, SearchConfig, search
 from socprimes.filters import OUTCOMES
+from socprimes.primes import PrimeRange
 
 SURVIVORS_BELOW_1000 = [13, 173, 197, 277, 317, 397, 653, 853, 877, 997]
 
@@ -83,35 +84,39 @@ class TestSearch:
         assert "checkpoint" in capsys.readouterr().err
 
     def test_stop_and_resume_reproduce_bytes(self, capsys, tmp_path):
-        full = str(tmp_path / "full.jsonl")
-        assert main(["search", "--from", "7", "--to", "9000", "--out", full,
-                     "--threads", "1", "--segment-size", "1024", "--json"]) == 0
-        capsys.readouterr()
+        # this window is 2^18 wide below 2 * 10^7, where search works out segments of 2^17
+        lo, hi = 2 * 10**7 - 2**18, 2 * 10**7
+        full = tmp_path / "full.jsonl"
+        search(SearchConfig(range=PrimeRange(lo, hi, 2**16), output_path=str(full)))
 
-        part = str(tmp_path / "part.jsonl")
-        ckpt = str(tmp_path / "part.ckpt")
-        base = ["search", "--out", part, "--checkpoint", ckpt,
-                "--threads", "1", "--checkpoint-interval", "1"]
-        code, doc = run_json(capsys, base + ["--from", "7", "--to", "9000",
-                                             "--segment-size", "1024",
-                                             "--stop-after-segments", "2", "--json"])
+        part, ckpt = tmp_path / "part.jsonl", tmp_path / "part.ckpt"
+        base = ["search", "--out", str(part), "--checkpoint", str(ckpt), "--threads", "1"]
+        code, doc = run_json(capsys, base + ["--from", str(lo), "--to", str(hi), "--stop-after-segments", "1",
+                                             "--json"])
         assert code == 0 and doc["complete"] is False
+        assert doc["completed_through"] == lo + 2**17
+        assert json.loads(ckpt.read_text())["checkpoint_interval"] == 8
 
         # checkpoint exists now, so the same subcommand resumes
         code, doc = run_json(capsys, base + ["--json"])
         assert code == 0
         assert doc["complete"] is True and doc["resumed"] is True
-        assert Path(part).read_bytes() == Path(full).read_bytes()
+        assert part.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--segment-size", "--checkpoint-interval"])
+    def test_sizes_are_not_options(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--from", "7", "--to", "9000", "--out", str(tmp_path / "r.jsonl"), flag, "1024"])
+        assert exc.value.code == 64
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.fixture
-    def stopped(self, capsys, tmp_path):
-        """A leg of search [7, 9000) stopped after 2 segments: (checkpoint, results, run argv)."""
+    def stopped(self, tmp_path):
+        """A leg of search [7, 9000) in segments of 1024, stopped after 2: (checkpoint, results, run argv)."""
         part, ckpt = tmp_path / "part.jsonl", tmp_path / "part.ckpt"
-        base = ["search", "--out", str(part), "--checkpoint", str(ckpt), "--threads", "1"]
-        assert main(base + ["--from", "7", "--to", "9000", "--segment-size", "1024",
-                            "--stop-after-segments", "2"]) == 0
-        capsys.readouterr()
-        return ckpt, part, base
+        search(SearchConfig(range=PrimeRange(7, 9000, 1024), output_path=str(part), checkpoint_path=str(ckpt),
+                            stop_after_segments=2))
+        return ckpt, part, ["search", "--out", str(part), "--checkpoint", str(ckpt), "--threads", "1"]
 
     @pytest.mark.parametrize("args", [
         ["--from", "7", "--to", "50000"],
@@ -120,10 +125,7 @@ class TestSearch:
         ["--from", "2", "--to", "8999"],
         ["--from", "7", "--to", "9000", "--strict-cubic"],
         ["--strict-cubic"],
-        ["--segment-size", "2048"],
-        ["--checkpoint-interval", "1"],
-    ], ids=["range", "to", "from", "clamped-from-other-to", "strict-same-range", "strict",
-            "segment-size", "checkpoint-interval"])
+    ], ids=["range", "to", "from", "clamped-from-other-to", "strict-same-range", "strict"])
     def test_resume_refuses_another_search(self, capsys, stopped, args):
         ckpt, part, base = stopped
         before = ckpt.read_bytes(), part.read_bytes()
@@ -131,9 +133,8 @@ class TestSearch:
         assert "checkpoint" in capsys.readouterr().err
         assert (ckpt.read_bytes(), part.read_bytes()) == before
 
-    @pytest.mark.parametrize("args", [[], ["--from", "2", "--to", "9000"], ["--to", "9000"], ["--from", "7"],
-                                      ["--segment-size", "1024", "--checkpoint-interval", "16"]],
-                             ids=["none", "clamped-from", "to", "from", "same-sizes"])
+    @pytest.mark.parametrize("args", [[], ["--from", "2", "--to", "9000"], ["--to", "9000"], ["--from", "7"]],
+                             ids=["none", "clamped-from", "to", "from"])
     def test_resume_accepts_the_same_search(self, capsys, tmp_path, stopped, args):
         ckpt, part, base = stopped
         full = str(tmp_path / "full.jsonl")
@@ -147,7 +148,7 @@ class TestSearch:
         ckpt, part, base = stopped
         reads, load = [], checkpoint._load_checkpoint
         monkeypatch.setattr(checkpoint, "_load_checkpoint", lambda path: reads.append(path) or load(path))
-        assert main(base + ["--from", "7", "--to", "9000", "--segment-size", "1024"]) == 0
+        assert main(base + ["--from", "7", "--to", "9000"]) == 0
         assert reads == [str(ckpt)]
 
     @pytest.mark.parametrize("suffix", ["", ".tmp"], ids=["checkpoint", "checkpoint-tmp"])

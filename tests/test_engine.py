@@ -550,11 +550,12 @@ class TestProcessPool:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real_verify(p)
 
+        # a leg of segments 0 and 1, then a pooled resume that loses a worker at segment 3
+        part_out, ckpt = str(tmp_path / "part.jsonl"), str(tmp_path / "part.ckpt")
+        search(SearchConfig(range=rng, output_path=part_out, checkpoint_path=ckpt, checkpoint_interval=1,
+                            stop_after_segments=2))
         monkeypatch.setattr(engine, "verify_distinct", verify)
-        part_out = str(tmp_path / "part.jsonl")
-        argv = ["search", "--from", str(rng.lo), "--to", str(rng.hi), "--segment-size", str(seg),
-                "--threads", "2", "--checkpoint", str(tmp_path / "part.ckpt"),
-                "--checkpoint-interval", "1", "--out", part_out, "--json"]
+        argv = ["search", "--threads", "2", "--checkpoint", ckpt, "--json"]
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1, err
@@ -584,12 +585,11 @@ class TestKilledRun:
         out, ckpt = tmp_path / "part.jsonl", tmp_path / "part.ckpt"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "socprimes.cli", "search", "--from", str(KILL_RANGE.lo),
-             "--to", str(KILL_RANGE.hi), "--segment-size", str(KILL_RANGE.segment_size), "--out", str(out),
-             "--checkpoint", str(ckpt), "--checkpoint-interval", "1", "--threads", str(threads)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
-        )
+        run = (f"from socprimes import PrimeRange, SearchConfig, search; "
+               f"search(SearchConfig(range=PrimeRange{tuple(KILL_RANGE)}, output_path={str(out)!r}, "
+               f"threads={threads}, checkpoint_path={str(ckpt)!r}, checkpoint_interval=1))")
+        proc = subprocess.Popen([sys.executable, "-c", run], env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
         try:
             deadline = time.monotonic() + 60
             target = KILL_RANGE.lo + segments * KILL_RANGE.segment_size
@@ -721,9 +721,7 @@ class TestCheckpointValidation:
         {"lo": 8},
         {"lo": 2, "hi": 2999},
         {"strict_cubic": True},
-        {"segment_size": 1024},
-        {"checkpoint_interval": 2},
-    ], ids=["range", "hi", "lo", "clamped-lo-other-hi", "strict", "segment-size", "checkpoint-interval"])
+    ], ids=["range", "hi", "lo", "clamped-lo-other-hi", "strict"])
     def test_resume_refuses_another_search(self, tmp_path, given):
         ckpt, payload = make_checkpoint(tmp_path)
         files = [Path(ckpt), Path(payload["output_path"])]
@@ -739,7 +737,7 @@ class TestCheckpointValidation:
     def test_resume_accepts_the_search_it_was_written_for(self, tmp_path):
         full = run_search(tmp_path, 7, 3000, name="full.jsonl", segment_size=512)
         ckpt, payload = make_checkpoint(tmp_path)
-        report = resume(ckpt, lo=2, hi=3000, strict_cubic=False, segment_size=512, checkpoint_interval=1)
+        report = resume(ckpt, lo=2, hi=3000, strict_cubic=False)
         assert report.complete and report.resumed and report.counters == full.counters
         assert Path(payload["output_path"]).read_bytes() == Path(full.output_path).read_bytes()
 
@@ -924,6 +922,27 @@ class TestCheckpointValidation:
             resume(ckpt)
         assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
         assert [f.read_bytes() for f in files] == before
+
+    def test_high_water_off_the_segment_grid_is_refused(self, tmp_path, capsys):
+        # a leg of [7, 3 * 10^5) in two segments of 2^16 commits records up to
+        # 130 957; a resume from 130 958 would count the primes of [130 958,
+        # 131 079) a second time, though it writes no record twice
+        out, ckpt = tmp_path / "part.jsonl", tmp_path / "part.ckpt"
+        assert main(["search", "--from", "7", "--to", "300000", "--threads", "1", "--out", str(out),
+                     "--checkpoint", str(ckpt), "--stop-after-segments", "2"]) == 0
+        payload = json.loads(ckpt.read_text())
+        assert payload["completed_through"] == 131079
+        assert json.loads(out.read_bytes().splitlines()[-1])["p"] == 130957
+        payload["completed_through"] = 130958
+        self.rewrite(ckpt, payload)
+        before = ckpt.read_bytes(), out.read_bytes()
+        with pytest.raises(CheckpointError, match="completed_through 130958 is neither hi nor lo plus a multiple "
+                                                  "of its segment_size 65536"):
+            resume(str(ckpt))
+        capsys.readouterr()
+        assert main(["search", "--checkpoint", str(ckpt), "--threads", "1"]) == 1
+        assert "segment_size" in capsys.readouterr().err
+        assert (ckpt.read_bytes(), out.read_bytes()) == before
 
 
 def starve_and_record_opens(monkeypatch):

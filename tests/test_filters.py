@@ -14,7 +14,7 @@ from conftest import (
     gap_collisions,
     naive_primes,
 )
-from socprimes import filters
+from socprimes import engine, filters
 from socprimes.engine import SearchConfig, count_filters, search
 from socprimes.filters import (
     OUTCOMES,
@@ -381,7 +381,7 @@ class TestCountFilters:
 
     @pytest.mark.parametrize("lo, hi", [(7, 2**16 + 1), (1000, 3 * 2**16 + 917), (10**8 + 5, 10**8 + 2**17 - 3)])
     def test_ranges_off_the_segment_grid_equal_run_pipeline(self, lo, hi):
-        # count_filters walks 2^16-wide segments from lo; neither end is on that grid
+        # count_filters walks segments from lo, 2^16 wide for each of these; neither end is on that grid
         for strict in (False, True):
             fc = count_filters(lo, hi, strict)
             counts, survivors = pipeline_oracle(enumerate_primes(PrimeRange(lo, hi, 4096)), strict)
@@ -389,6 +389,23 @@ class TestCountFilters:
             assert fc.stage1_survivors == [p for p, _ in survivors]
             assert fc.stage2_survivors == [p for p, hit in survivors if hit is None]
             assert_partition(fc)
+
+    def test_worked_out_segments_near_1e9_equal_a_walk_at_2_16(self, monkeypatch):
+        lo, hi = 10**9 - 2**20 + 3, 10**9 - 5
+        widths, flags = [], engine.segment_flags
+        monkeypatch.setattr(engine, "segment_flags", lambda a, b, base: widths.append(b - a) or flags(a, b, base))
+        fc = count_filters(lo, hi)
+        assert widths == [2**19, 2**19 - 8]
+
+        base = small_primes(math.isqrt(hi - 1))
+        tally, survivors = [0] * len(OUTCOMES), []
+        for seg_lo, seg_hi in PrimeRange(lo, hi, 2**16).segments():
+            counts, hits = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base), False)
+            tally = [a + b for a, b in zip(tally, counts)]
+            survivors += hits
+        assert list(fc[2:8]) == [sum(tally), *tally]
+        assert fc.stage1_survivors == [p for p, _ in survivors]
+        assert fc.stage2_survivors == [p for p, hit in survivors if hit is None]
 
 
 

@@ -14,6 +14,7 @@ from socprimes.primes import (
     enumerate_primes,
     primes_in_segment,
     segment_flags,
+    segment_size_for,
     small_primes,
 )
 
@@ -71,6 +72,22 @@ class TestPrimeRange:
 
     def test_default_segment(self):
         assert PrimeRange(0, 10).segment_size == DEFAULT_SEGMENT_SIZE
+
+    @pytest.mark.parametrize("hi, log2", [(10**6, 16), (10**7, 16), (2**24, 16), (2**24 + 1, 17), (10**8, 18),
+                                          (10**9, 19), (10**10, 21), (10**12, 22), (1 << 63, 22)])
+    def test_segment_size_for_a_range(self, hi, log2):
+        # the smallest power of two >= 16 sqrt(hi), within [2^16, 2^22]
+        assert segment_size_for(7, hi) == segment_size_for(7, hi, threads=4) == 1 << log2
+
+    @pytest.mark.parametrize("lo, hi, threads, log2", [
+        (10**9 - 2**18, 10**9, 1, 19),  # one worker: one segment, though narrower, is enough
+        (10**9 - 2**18, 10**9, 2, 17),  # halved until each worker has a segment
+        (10**9 - 2**17, 10**9, 2, 16),
+        (10**9 - 2**18, 10**9, 8, 16),  # never below 2^16
+        (10**10 - 3 * 2**20, 10**10, 4, 19),
+    ])
+    def test_segment_size_for_a_narrow_window(self, lo, hi, threads, log2):
+        assert segment_size_for(lo, hi, threads) == 1 << log2
 
     @given(st.integers(0, 10**6), st.integers(0, 10**4), st.integers(2, 10**4))
     def test_segments_tile_the_range(self, lo, width, seg):
