@@ -4,7 +4,10 @@ F(p) counts the residues mod p that never occur among 1!, 2!, ..., (p-1)!.
 A socialist prime is exactly one with F(p) = 2 (only 0 and one further
 residue missed), so the empirical floor of F over a range is a direct
 health check on the search: F = 2 appearing for some p > 5 would be a
-discovery.
+discovery.  fp_statistic and fp_histogram share one F loop, which walks
+the factorial chains of two primes p < q in one pass: each multiplier
+n < p serves both chains.  A histogram takes consecutive primes in pairs,
+32 pairs (64 primes) to a pool chunk.
 
 The heuristic treats the roughly (p-3)(p-4)/2 factorial pairs that no
 classical identity forces apart as independent uniform values, giving
@@ -46,22 +49,39 @@ class FpHistogram(namedtuple("FpHistogram", "limit counts primes_scanned min_f m
     __slots__ = ()
 
 
+def _fp_pair(p: int, q: int) -> tuple[int, int]:
+    """(F(p), F(q)) for p < q, with both factorial chains in one pass.
+
+    Below n = p each step multiplies both chains by the same n; q then
+    runs on alone.  Each chain marks its residues in its own bytearray, one
+    byte per residue.  p = 1 leaves the shared stretch empty: the one-prime
+    case, whose first value callers discard.
+    """
+    seen_p, seen_q = bytearray(p), bytearray(q)
+    f = g = 1
+    for n in range(1, p):
+        f = f * n % p
+        g = g * n % q
+        seen_p[f] = 1
+        seen_q[g] = 1
+    for n in range(p, q):
+        g = g * n % q
+        seen_q[g] = 1
+    return seen_p.count(0), seen_q.count(0)
+
+
 def fp_statistic(p: int) -> int:
     """F(p): scan all of 1! .. (p-1)! mod p and count the residues never hit.
 
     0 is never a factorial value mod a prime, so it is always among the
-    missing, and socialist means F(p) == 2.
+    missing, and socialist means F(p) == 2.  This is the pair kernel's
+    one-prime case; fp_histogram walks two chains per pass.
     """
     if p < 2:
         raise ValueError("need p >= 2")
     if p > TABLE_LIMIT:
         raise ValueError(f"p={p} exceeds the {TABLE_LIMIT}-byte scan table budget")
-    table = bytearray(p)
-    f = 1
-    for n in range(1, p):
-        f = f * n % p
-        table[f] = 1
-    return table.count(0)
+    return _fp_pair(1, p)[1]
 
 
 def fp_histogram(limit: int, *, jobs: int = 1) -> FpHistogram:
@@ -69,7 +89,9 @@ def fp_histogram(limit: int, *, jobs: int = 1) -> FpHistogram:
 
     Total work is quadratic in limit (each prime costs O(p)), so a limit
     above DEFAULT_HISTOGRAM_BUDGET, some CPU-days of scanning, is
-    refused.  The primes go to the workers in chunks of 64, and
+    refused.  Consecutive primes are scanned in pairs, two chains per
+    pass; an odd count pairs its first prime with 1, the one-prime case.
+    The pairs go to the workers in chunks of 32 (64 primes), and
     min(jobs, chunks) workers scan them: more than one runs in a
     concurrent.futures pool, imported only then (it loads multiprocessing
     and threading); a worker that dies raises BrokenProcessPool.
@@ -79,14 +101,17 @@ def fp_histogram(limit: int, *, jobs: int = 1) -> FpHistogram:
     if limit > DEFAULT_HISTOGRAM_BUDGET:
         raise ValueError(f"limit {limit} exceeds the histogram budget {DEFAULT_HISTOGRAM_BUDGET}")
     primes = list(enumerate_primes(PrimeRange(5, max(limit, 5))))
+    padded = [1] * (len(primes) % 2) + primes
+    lows, highs = padded[0::2], padded[1::2]
     workers = min(jobs, -(-len(primes) // 64))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers) as pool:
-            f_values = list(pool.map(fp_statistic, primes, chunksize=64))
+            pairs = list(pool.map(_fp_pair, lows, highs, chunksize=32))
     else:
-        f_values = [fp_statistic(p) for p in primes]
+        pairs = map(_fp_pair, lows, highs)
+    f_values = [f for pair in pairs for f in pair][len(padded) - len(primes):]
 
     counts: Counter[int] = Counter(f_values)
     min_f = min(counts) if counts else None

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: trial division, Euler's criterion,
 power-sum evaluation, full-range root scans, the closed-form cubic
-discriminant, a dict-only factorial walk, factorials built from 1, ring
-powers on plain coefficient lists, gap products over every x.
+discriminant, a dict-only factorial walk, a set of factorial residues,
+factorials built from 1, ring powers on plain coefficient lists, gap
+products over every x.
 The point is an arithmetic path independent of the package's production
 code, so the two can disagree loudly when one is wrong.
 
@@ -49,6 +50,16 @@ def naive_primes(limit: int) -> list[int]:
         if all(n % d for d in range(2, int(n**0.5) + 1)):
             out.append(n)
     return out
+
+
+def naive_fp(p: int) -> int:
+    """F(p): the residues mod p missing from a set of 1!, 2!, ..., (p-1)!."""
+    seen = set()
+    f = 1
+    for n in range(1, p):
+        f = f * n % p
+        seen.add(f)
+    return p - len(seen)
 
 
 def euler_symbol(a: int, p: int) -> int:

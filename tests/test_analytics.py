@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import naive_primes
+from conftest import naive_fp, naive_primes
 from socprimes import analytics
 from socprimes.analytics import (
     expected_count_log,
@@ -23,20 +23,21 @@ from socprimes.analytics import (
 SRC = str(Path(analytics.__file__).resolve().parents[1])
 
 #: A jobs=2 histogram, then the same through the CLI, each with a worker
-#: that SIGKILLs itself at p = 1009.  The patched fp_statistic lives in
-#: __main__, which the forked workers share, so pickling finds it there.
+#: that SIGKILLs itself on the pair of primes that holds 1009.  The patched
+#: _fp_pair, the kernel the pool maps, lives in __main__, which the forked
+#: workers share, so pickling finds it there.
 DEAD_WORKER = """
 import os, signal, sys
 from socprimes import analytics
 from socprimes.cli import main
-coordinator, scan = os.getpid(), analytics.fp_statistic
+coordinator, scan = os.getpid(), analytics._fp_pair
 
-def fp_statistic(p):
-    if p == 1009 and os.getpid() != coordinator:
+def _fp_pair(p, q):
+    if 1009 in (p, q) and os.getpid() != coordinator:
         os.kill(os.getpid(), signal.SIGKILL)
-    return scan(p)
+    return scan(p, q)
 
-analytics.fp_statistic = fp_statistic
+analytics._fp_pair = _fp_pair
 try:
     analytics.fp_histogram(3000, jobs=2)
 except RuntimeError as exc:
@@ -69,12 +70,31 @@ class TestFpStatistic:
 
     @given(st.sampled_from([p for p in naive_primes(500) if p >= 5]))
     def test_matches_set_scan(self, p):
-        seen = set()
-        f = 1
-        for n in range(1, p):
-            f = f * n % p
-            seen.add(f)
-        assert fp_statistic(p) == p - len(seen)
+        assert fp_statistic(p) == naive_fp(p)
+
+
+class TestFpPair:
+    def test_every_consecutive_pair_below_2000(self):
+        # (5, 7) with F(5) = 2, the twin primes, and the widest gap
+        # below 2000, 1327 to 1361, where q runs on alone for 34 steps
+        primes = [p for p in naive_primes(2000) if p >= 5]
+        oracle = {p: naive_fp(p) for p in primes}
+        assert oracle[5] == 2
+        for p, q in zip(primes, primes[1:]):
+            assert analytics._fp_pair(p, q) == (oracle[p], oracle[q]), (p, q)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 1999])
+    def test_one_prime_case(self, q):
+        assert analytics._fp_pair(1, q)[1] == naive_fp(q) == fp_statistic(q)
+
+    def test_f_over_p_near_one_over_e(self):
+        # F(p)/p of a random map on p - 1 values tends to 1/e; over these
+        # 200 primes the mean is 0.36773 with a standard error of 0.00025
+        primes = [p for p in naive_primes(12000) if p > 10**4][:200]
+        assert (primes[0], primes[-1]) == (10007, 11927)
+        f_values = [f for pair in map(analytics._fp_pair, primes[0::2], primes[1::2]) for f in pair]
+        mean = sum(f / p for p, f in zip(primes, f_values)) / len(primes)
+        assert abs(mean - 1 / math.e) < 0.0015
 
 
 class TestFpHistogram:
@@ -100,7 +120,9 @@ class TestFpHistogram:
             fp_histogram(10**7 + 1)
 
     def test_jobs_equivalence(self):
-        # 301 primes, so 5 chunks of 64 and a pool of 2
+        # 166 primes (83 pairs) and 301 (151 pairs, the first led by 1):
+        # 3 and 5 chunks of 64 primes, and a pool of 2 for each
+        assert fp_histogram(1000) == fp_histogram(1000, jobs=2)
         assert fp_histogram(2000) == fp_histogram(2000, jobs=2)
 
     def test_pool_is_never_bigger_than_its_chunks(self, monkeypatch):
@@ -118,7 +140,7 @@ class TestFpHistogram:
         assert sizes == [2]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched fp_statistic reaches the workers only through fork")
+                        reason="the patched _fp_pair reaches the workers only through fork")
     def test_dead_worker_raises_instead_of_hanging(self):
         # in a child with a timeout: a pool that waits forever for the
         # chunk a dead worker held must fail here, not hang the suite
