@@ -12,14 +12,12 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--limits", type=int, nargs="+", default=[1000, 10**5, 10**6],
                     help="range ends; each range is [7, limit) (default 1000 1e5 1e6)")
-    ap.add_argument("--strict-cubic", action="store_true",
-                    help="test every cubic root even when (1957/p) = +1")
     args = ap.parse_args()
 
     results = []
     for limit in args.limits:
         t0 = time.perf_counter()
-        fc = count_filters(7, limit, strict=args.strict_cubic)
+        fc = count_filters(7, limit)
         results.append((limit, fc, time.perf_counter() - t0))
 
     width = max(len(f"{limit:,}") for limit in args.limits) + 2

@@ -7,9 +7,10 @@ Writes are atomic (tmp file + os.replace), and a results path that is the
 checkpoint or its tmp file, or a checkpoint in a directory that does not
 exist, is refused before any file is opened (engine._validate_config,
 which search shares).  Resume enforces what the checkpoint is for: given
-the range or strict_cubic, it refuses a checkpoint of another search
-before it opens the results file; the segment size and checkpoint interval
-are the checkpoint's own.  It then checks the committed prefix against
+the range, it refuses a checkpoint of another search before it opens the
+results file, as it does a checkpoint of a strict_cubic search, a stage-2
+mode that is retired; the segment size and checkpoint interval are the
+checkpoint's own.  It then checks the committed prefix against
 that digest, its line count against the counters' stage-1 survivors and,
 where they count a socialist prime, its Socialist records against that
 count, its first and last records against [lo, completed_through),
@@ -52,13 +53,13 @@ _SOCIALIST_RECORD = re.compile(rb'\{"p":(\d+),"outcome":"Socialist"\}\n')
 _RECORD_P = re.compile(rb'\{"p":(\d+),')
 
 #: Every checkpoint key resume reads, with its JSON type.  Other keys (the scan
-#: strategy block, record count or socialist list of older ones) are ignored.
+#: strategy block, record count, socialist list or strict_cubic of older ones)
+#: are ignored, except a strict_cubic that is not false, which is refused.
 _CHECKPOINT_KEYS = {
     "version": int,
     "lo": int,
     "hi": int,
     "segment_size": int,
-    "strict_cubic": bool,
     "checkpoint_interval": int,
     "completed_through": int,
     "counters": dict,
@@ -75,7 +76,6 @@ def _checkpoint_payload(config: SearchConfig, report: RangeReport, offset: int, 
         "lo": report.lo,
         "hi": report.hi,
         "segment_size": config.range.segment_size,
-        "strict_cubic": config.strict_cubic,
         "checkpoint_interval": config.checkpoint_interval,
         "completed_through": report.completed_through,
         "counters": report.counters.as_dict(),
@@ -112,6 +112,8 @@ def _load_checkpoint(path: str) -> dict:
             raise CheckpointError(f"checkpoint {path}: {key} must be {kind.__name__}, got {value!r}")
     if payload["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path} has unsupported version {payload['version']}")
+    if payload.get("strict_cubic", False) is not False:
+        raise CheckpointError(f"checkpoint {path} is of a strict_cubic search; strict mode is retired")
     counters = Counters.from_dict(payload["counters"])
     if not counters.partitioned():
         raise CheckpointError("checkpoint counters do not partition examined")
@@ -157,7 +159,7 @@ def _tail_is_ours(fh, lo: int, hi: int) -> bool:
 
 
 def resume(checkpoint_path: str, output_path: str | None, threads: int | None, stop_after_segments: int | None,
-           *, lo: int | None, hi: int | None, strict_cubic: bool | None) -> RangeReport:
+           *, lo: int | None, hi: int | None) -> RangeReport:
     """engine.resume's body, with every argument given; engine.resume documents it."""
     payload = _load_checkpoint(checkpoint_path)
     started = time.monotonic()
@@ -166,9 +168,6 @@ def resume(checkpoint_path: str, output_path: str | None, threads: int | None, s
     if want != have:
         raise CheckpointError(f"checkpoint {checkpoint_path} is for the range [{have[0]}, {have[1]}), "
                               f"not [{want[0]}, {want[1]})")
-    if strict_cubic is not None and strict_cubic != payload["strict_cubic"]:
-        raise CheckpointError(f"checkpoint {checkpoint_path} has strict_cubic {payload['strict_cubic']}, "
-                              f"not {strict_cubic}")
     out_path = output_path or payload["output_path"]
     offset = payload["output_offset"]
     try:
@@ -180,7 +179,6 @@ def resume(checkpoint_path: str, output_path: str | None, threads: int | None, s
         range=rng,
         output_path=out_path,
         threads=threads if threads is not None else 1,
-        strict_cubic=payload["strict_cubic"],
         checkpoint_path=checkpoint_path,
         checkpoint_interval=payload["checkpoint_interval"],
         stop_after_segments=stop_after_segments,

@@ -80,19 +80,15 @@ def _print_report(report: RangeReport) -> None:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.checkpoint and os.path.exists(args.checkpoint):
-        report = resume(args.checkpoint, args.out, args.threads, args.stop_after_segments, lo=args.lo, hi=args.hi,
-                        strict_cubic=args.strict_cubic)
+        report = resume(args.checkpoint, args.out, args.threads, args.stop_after_segments, lo=args.lo, hi=args.hi)
     else:
         if args.lo is None or args.hi is None:
             args.parser.error("--from and --to are required unless resuming from a checkpoint")
-        # --strict-cubic defaults to None so that a resume can tell "not
-        # given" from a value the checkpoint must match
         size = segment_size_for(args.lo, args.hi, args.threads)
         config = SearchConfig(
             range=PrimeRange(args.lo, args.hi, size),
             output_path=args.out or "results.jsonl",
             threads=args.threads,
-            strict_cubic=bool(args.strict_cubic),
             checkpoint_path=args.checkpoint,
             checkpoint_interval=max(1, 2**20 // size),  # about 2^20 numbers between checkpoints
             stop_after_segments=args.stop_after_segments,
@@ -120,7 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_filter_counts(args: argparse.Namespace) -> int:
     PrimeRange(args.lo, args.hi)  # refuses the ranges search refuses
-    counts = count_filters(args.lo, args.hi, strict=args.strict_cubic)
+    counts = count_filters(args.lo, args.hi)
     if args.json:
         print(json.dumps(counts._asdict()))
         return 0
@@ -217,8 +213,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--checkpoint", metavar="PATH", help="checkpoint file; if it exists the run resumes from it")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="N",
                     help="worker processes (default the CPU count)")
-    sp.add_argument("--strict-cubic", action="store_true", default=None,
-                    help="test every cubic root even when (1957/p) = +1 (a resume must match the checkpoint's)")
     sp.add_argument("--stop-after-segments", type=int, metavar="N",
                     help="commit N segments, rounded up to a multiple of --threads, write a checkpoint, and stop; "
                          "a segment is 2^16 to 2^22 numbers, worked out from the range (see README)")
@@ -233,8 +227,6 @@ def _build_parser() -> _Parser:
     fp = sub.add_parser("filter-counts", help="tally filter verdicts over a range, no scanning")
     fp.add_argument("--from", dest="lo", type=int, required=True, metavar="N", help="range start, inclusive")
     fp.add_argument("--to", dest="hi", type=int, required=True, metavar="N", help="range end, exclusive")
-    fp.add_argument("--strict-cubic", action="store_true",
-                    help="test every cubic root even when (1957/p) = +1")
     fp.add_argument("--json", action="store_true", help="emit counts and survivor lists as JSON")
     fp.set_defaults(func=_cmd_filter_counts, parser=fp)
 

@@ -134,9 +134,9 @@ class Counters(namedtuple("Counters", ("examined", *OUTCOMES[:-1], "collisions",
         return self.collisions + self.neg_half_hits + self.socialist
 
 
-class SearchConfig(namedtuple("SearchConfig", "range output_path threads strict_cubic checkpoint_path "
+class SearchConfig(namedtuple("SearchConfig", "range output_path threads checkpoint_path "
                               "checkpoint_interval stop_after_segments",
-                              defaults=(1, False, None, DEFAULT_CHECKPOINT_INTERVAL, None))):
+                              defaults=(1, None, DEFAULT_CHECKPOINT_INTERVAL, None))):
     """One search run: what range, where results go, how hard to push.
 
     range is a PrimeRange; a checkpoint_path of None writes no checkpoint.
@@ -212,9 +212,9 @@ def _segment_task(args: tuple) -> tuple[int, Counters, list[int], bytes]:
 
     Each line is written as its record is made: json.dumps(record, separators=(",", ":")), keys in this order.
     """
-    seg_lo, seg_hi, sqrt_limit, strict = args
+    seg_lo, seg_hi, sqrt_limit = args
     base = _base_primes(sqrt_limit)
-    counts, survivors = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base), strict)
+    counts, survivors = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base))
     lines, socialist = [], []
     for p, hit in survivors:
         if hit is not None:
@@ -234,7 +234,7 @@ def _segment_task(args: tuple) -> tuple[int, Counters, list[int], bytes]:
     return seg_hi, counters, socialist, "".join(lines).encode("ascii")
 
 
-def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
+def count_filters(lo: int, hi: int) -> FilterCounts:
     """Tally every pipeline outcome for primes in [lo, hi): a search's filter pass alone.
 
     The primes walked are those in domain(lo, hi), as in a search, in
@@ -245,7 +245,7 @@ def count_filters(lo: int, hi: int, strict: bool = False) -> FilterCounts:
     base = small_primes(isqrt(max(rng.hi - 1, 2)))
     tally, survivors = [0] * len(OUTCOMES), []
     for seg_lo, seg_hi in rng.segments():
-        counts, hits = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base), strict)
+        counts, hits = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base))
         tally = [a + b for a, b in zip(tally, counts)]
         survivors += hits
     return FilterCounts(lo, hi, sum(tally), *tally, stage1_survivors=[p for p, _ in survivors],
@@ -310,7 +310,7 @@ def _run(config: SearchConfig, report: RangeReport, out, digest: hashlib._Hash, 
         segments = min(segments, -(-config.stop_after_segments // threads) * threads)
     workers = min(threads, segments)
     args = (
-        (lo, hi, sqrt_limit, config.strict_cubic)
+        (lo, hi, sqrt_limit)
         for lo, hi in islice(PrimeRange(report.completed_through, report.hi, size).segments(), segments)
     )
     results = _in_order(args, workers) if workers > 1 else (_segment_task(a) for a in args)
@@ -354,20 +354,18 @@ def search(config: SearchConfig) -> RangeReport:
 
 def resume(checkpoint_path: str, output_path: str | None = None,
            threads: int | None = None, stop_after_segments: int | None = None, *,
-           lo: int | None = None, hi: int | None = None, strict_cubic: bool | None = None) -> RangeReport:
+           lo: int | None = None, hi: int | None = None) -> RangeReport:
     """Continue a checkpointed search to completion (or the next stop).
 
     The keyword arguments say which search the caller means, and a
     checkpoint written for another one raises CheckpointError before any
     file is opened: lo and hi, where given, must match the checkpoint's
     range once clamped the way search clamps them (the other end defaults
-    to the checkpoint's); strict_cubic, where given, must equal the
-    checkpoint's, since the run takes it from there.  So strict_cubic=True
-    needs a checkpoint of a strict search, and strict_cubic=False one of a
-    search without.  The segment size and checkpoint interval are always
-    the checkpoint's, and its completed_through must be hi or lie on its
-    segment grid, lo plus a multiple of the segment size, where every leg
-    stops.
+    to the checkpoint's).  A checkpoint of a retired stage-2 mode is
+    refused the same way.  The segment size and checkpoint interval are
+    always the checkpoint's, and its completed_through must be hi or lie
+    on its segment grid, lo plus a multiple of the segment size, where
+    every leg stops.
 
     The results file must start with the bytes the checkpoint committed
     (same length and sha256): a line for each stage-1 survivor its counters
@@ -383,5 +381,4 @@ def resume(checkpoint_path: str, output_path: str | None = None,
     """
     from . import checkpoint  # the format, resume's checks and json load with the first resume
 
-    return checkpoint.resume(checkpoint_path, output_path, threads, stop_after_segments, lo=lo, hi=hi,
-                             strict_cubic=strict_cubic)
+    return checkpoint.resume(checkpoint_path, output_path, threads, stop_after_segments, lo=lo, hi=hi)

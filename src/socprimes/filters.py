@@ -17,8 +17,8 @@ the conditions below, so each stage only ever discards safely:
   explicit collision.  When (1957/p) == +1 the stage passes without root
   work (1957 is this cubic's discriminant, and the only dangerous factor
   shape has exactly one root, forcing (1957/p) == -1).  As 1957 == 1
-  (mod 4), (1957/p) == (p/1957) for every odd p, read in both modes from a
-  table of the 1957 residues; strict mode only declines the +1 shortcut.
+  (mod 4), (1957/p) == (p/1957) for every odd p, read from a table of the
+  1957 residues.
   _lone_root gives that root in F_p alone, for every p: it is (v-10)/3
   with v = u + 28/u, u a cube root of z = (187 + sqrt(-52839))/2, and v
   is a Lucas number V_a(187, 28^3), over 28 when p == 1 (mod 3).
@@ -93,21 +93,21 @@ def stage_legendre(p: int) -> str | None:
     return None
 
 
-def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
+def stage_cubic(p: int) -> tuple[int, int] | None:
     """Stage 2: None on survival, else the rejecting root (y, x) pair.
 
     Stage 2 is gap 6: _gap_witness lifts the first liftable root y, in
     increasing order, to x, and y == x(x+5).  p must be 3 (mod 4) or
     5 (mod 8), as for sqrt_mod; every prime reaching stage 2 is 5 (mod 8).
 
-    (1957/p) == -1 leaves one root, _lone_root's closed form, in both modes.
-    (1957/p) == +1 passes p without root work unless strict=True, which finds
-    the roots with poly_roots as for p | 1957, so strict only rejects more.
+    (1957/p) == +1 passes p without root work.  (1957/p) == -1 leaves one
+    root, _lone_root's closed form.  Only p | 1957 (19 and 103, which stage
+    0 rejects) finds the roots with poly_roots.
     The returned x lies in [3, p-6], so (x-1)! == (x+5)! is a collision
     inside 2! .. (p-1)!, and recheck_witness confirms it before release.
     """
     symbol = _symbols_1957()[p % 1957]
-    if symbol == 1 and not strict:
+    if symbol == 1:
         return None
     roots = (_lone_root(p),) if symbol == -1 else cubic_roots(SIX_TERM_CUBIC, p)
     x = _gap_witness(6, roots, p)
@@ -118,8 +118,8 @@ def stage_cubic(p: int, strict: bool = False) -> tuple[int, int] | None:
 def _symbols_1957() -> tuple[int, ...]:
     """(r/1957) for r in [0, 1957), which is (1957/p) at r = p mod 1957 for every odd p.
 
-    Built on first use (1957 jacobi calls, about 2 ms) and read in both modes;
-    the 0 entries (19 | r or 103 | r) send only 19 and 103 to cubic_roots.
+    Built on first use (1957 jacobi calls, about 2 ms).  The 0 entries
+    (19 | r or 103 | r) send only 19 and 103 to cubic_roots.
     """
     return tuple(jacobi(r, 1957) for r in range(1957))
 
@@ -186,7 +186,7 @@ def _lone_root(p: int) -> int:
     return (v - 10 * d) * pow(3 * d, -1, p) % p
 
 
-def run_pipeline(p: int, strict: bool = False) -> tuple[str, dict | None]:
+def run_pipeline(p: int) -> tuple[str, dict | None]:
     """Run the stages in cost order for one prime p > 5: its outcome and witness.
 
     The outcome is one of OUTCOMES.  The witness of rejected_cubic is
@@ -199,7 +199,7 @@ def run_pipeline(p: int, strict: bool = False) -> tuple[str, dict | None]:
     legendre = stage_legendre(p)
     if legendre is not None:
         return legendre, None
-    hit = stage_cubic(p, strict)
+    hit = stage_cubic(p)
     if hit is not None:
         return "rejected_cubic", {"y": hit[0], "x": hit[1]}
     return "candidates", None
@@ -216,8 +216,8 @@ _CLASS_ROWS = (
 )
 
 
-def segment_outcomes(seg_lo: int, seg_hi: int, flags: bytearray,
-                     strict: bool = False) -> tuple[list[int], list[tuple[int, tuple[int, int] | None]]]:
+def segment_outcomes(seg_lo: int, seg_hi: int,
+                     flags: bytearray) -> tuple[list[int], list[tuple[int, tuple[int, int] | None]]]:
     """run_pipeline over the primes of [seg_lo, seg_hi): per-OUTCOMES counts and the stage-1 survivors.
 
     flags[i] is 1 exactly when seg_lo + i is prime (primes.segment_flags).
@@ -235,6 +235,6 @@ def segment_outcomes(seg_lo: int, seg_hi: int, flags: bytearray,
     offsets = [(r - seg_lo) % modulus for r in classes]
     stage1 = sorted(chain.from_iterable(compress(range(seg_lo + o, seg_hi, modulus), flags[o::modulus])
                                         for o in offsets))
-    survivors = [(p, stage_cubic(p, strict)) for p in stage1]
+    survivors = [(p, stage_cubic(p)) for p in stage1]
     passed += len(stage1), sum(hit is None for _, hit in survivors)
     return [a - b for a, b in zip(passed, passed[1:])] + passed[-1:], survivors

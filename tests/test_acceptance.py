@@ -43,11 +43,6 @@ COUNTERS_1E6 = Counters(
 #: sha256 of the results file of search over [7, 10^6)
 SHA256_1E6 = "b4858987d556ee8afb8f3a987395eb08b7e3cd886fb1d36bf328904773b62291"
 
-#: the same search with strict_cubic=True: 826 stage-1 survivors that the
-#: (1957/p) shortcut passes move from collisions to cubic rejections
-COUNTERS_1E6_STRICT = Counters(**{**COUNTERS_1E6.as_dict(), "rejected_cubic": 2072, "collisions": 2836})
-SHA256_1E6_STRICT = "65a5e189d58a00d8d531c0a68a3a95a7b7aa3a3537df16560500a94ab7b4aa19"
-
 COUNTERS_1E7 = Counters(
     examined=664576, rejected_mod8=498373, rejected_legendre5=83134,
     rejected_legendre23=41440, rejected_cubic=10510, collisions=31119,
@@ -124,16 +119,6 @@ def test_full_search_to_one_million(million_run):
             p = rec["p"]
             assert recheck_witness(p, w["j"], w["k"]) and factorial_mod(w["k"], p) == w["residue"], p
         assert elapsed < 600.0, f"took {elapsed:.2f}s, budget is 600s"
-
-
-def test_strict_search_to_one_million(tmp_path):
-    with criterion("strict cubic search to 10^6 writes its pinned results"):
-        out = tmp_path / "strict.jsonl"
-        report = search(SearchConfig(range=PrimeRange(7, 10**6), output_path=str(out), threads=1,
-                                     strict_cubic=True))
-        assert report.complete and report.socialist_primes == []
-        assert report.counters == COUNTERS_1E6_STRICT
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SHA256_1E6_STRICT
 
 
 def test_checkpoint_resume_at_scale(tmp_path):

@@ -110,6 +110,15 @@ class TestSearch:
         assert exc.value.code == 64
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["search", "filter-counts"])
+    def test_strict_cubic_is_not_an_option(self, tmp_path, monkeypatch, command):
+        # strict mode is retired; run in tmp_path, where search would write results.jsonl
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--from", "7", "--to", "9000", "--strict-cubic"])
+        assert exc.value.code == 64
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.fixture
     def stopped(self, tmp_path):
         """A leg of search [7, 9000) in segments of 1024, stopped after 2: (checkpoint, results, run argv)."""
@@ -123,9 +132,7 @@ class TestSearch:
         ["--to", "50000"],
         ["--from", "8"],
         ["--from", "2", "--to", "8999"],
-        ["--from", "7", "--to", "9000", "--strict-cubic"],
-        ["--strict-cubic"],
-    ], ids=["range", "to", "from", "clamped-from-other-to", "strict-same-range", "strict"])
+    ], ids=["range", "to", "from", "clamped-from-other-to"])
     def test_resume_refuses_another_search(self, capsys, stopped, args):
         ckpt, part, base = stopped
         before = ckpt.read_bytes(), part.read_bytes()
@@ -202,13 +209,6 @@ class TestFilterCounts:
             '"candidates": 8, "stage1_survivors": [13, 173, 197, 277, 317, 397, 653, 853, 877, 997], '
             '"stage2_survivors": [13, 173, 277, 397, 653, 853, 877, 997]}\n'
         )
-
-    def test_strict_json(self, capsys):
-        code, doc = run_json(capsys, ["filter-counts", "--from", "7", "--to", "1000",
-                                      "--strict-cubic", "--json"])
-        assert code == 0
-        assert doc["rejected_cubic"] == 4 and doc["candidates"] == 6
-        assert doc["stage1_survivors"] == SURVIVORS_BELOW_1000
 
     def test_human(self, capsys):
         assert main(["filter-counts", "--from", "7", "--to", "1000"]) == 0

@@ -224,12 +224,11 @@ def test_base_primes_cache_keeps_one_limit(tmp_path):
 class TestSearchAgreesWithCountFilters:
     """search and count_filters share the filter pass, so they classify every prime alike."""
 
-    @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
     @pytest.mark.parametrize("lo, hi", [(7, 10**5), (10**6, 10**6 + 2**16)], ids=["below-1e5", "at-1e6"])
-    def test_prime_by_prime(self, tmp_path, lo, hi, strict):
-        counters = run_search(tmp_path, lo, hi, strict_cubic=strict).counters
+    def test_prime_by_prime(self, tmp_path, lo, hi):
+        counters = run_search(tmp_path, lo, hi).counters
         records = read_records(tmp_path / "out.jsonl")
-        fc = count_filters(lo, hi, strict=strict)
+        fc = count_filters(lo, hi)
         for name in ("examined", "rejected_mod8", "rejected_legendre5", "rejected_legendre23", "rejected_cubic"):
             assert getattr(counters, name) == getattr(fc, name), name
         assert fc.candidates == counters.collisions + counters.socialist
@@ -370,7 +369,7 @@ class TestCheckpointResume:
         assert payload["completed_through"] == 1000
         assert payload["counters"] == report.counters.as_dict()
         # no record count or socialist list: resume reads both from the results file
-        assert list(payload) == list(checkpoint._CHECKPOINT_KEYS) and len(payload) == 12
+        assert list(payload) == list(checkpoint._CHECKPOINT_KEYS) and len(payload) == 11
         assert payload["output_offset"] == len(results)
         assert results.count(b"\n") == report.counters.stage1_survivors == 10
         assert payload["output_sha256"] == hashlib.sha256(results).hexdigest()
@@ -720,16 +719,15 @@ class TestCheckpointValidation:
         {"hi": 50000},
         {"lo": 8},
         {"lo": 2, "hi": 2999},
-        {"strict_cubic": True},
-    ], ids=["range", "hi", "lo", "clamped-lo-other-hi", "strict"])
+    ], ids=["range", "hi", "lo", "clamped-lo-other-hi"])
     def test_resume_refuses_another_search(self, tmp_path, given):
         ckpt, payload = make_checkpoint(tmp_path)
         files = [Path(ckpt), Path(payload["output_path"])]
         before = [f.read_bytes() for f in files]
-        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ (is for|has) "):
+        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ is for "):
             resume(ckpt, **given)
         # refused before any file is opened: a results file named here is not created
-        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ (is for|has) "):
+        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ is for "):
             resume(ckpt, output_path=str(tmp_path / "new.jsonl"), **given)
         assert not (tmp_path / "new.jsonl").exists()
         assert [f.read_bytes() for f in files] == before
@@ -737,7 +735,7 @@ class TestCheckpointValidation:
     def test_resume_accepts_the_search_it_was_written_for(self, tmp_path):
         full = run_search(tmp_path, 7, 3000, name="full.jsonl", segment_size=512)
         ckpt, payload = make_checkpoint(tmp_path)
-        report = resume(ckpt, lo=2, hi=3000, strict_cubic=False)
+        report = resume(ckpt, lo=2, hi=3000)
         assert report.complete and report.resumed and report.counters == full.counters
         assert Path(payload["output_path"]).read_bytes() == Path(full.output_path).read_bytes()
 
@@ -760,8 +758,9 @@ class TestCheckpointValidation:
         resumed = resume(str(ckpt), threads=2)
         assert resumed.complete and resumed.counters == full.counters and resumed.wall_seconds >= 1.5
         assert Path(head.output_path).read_bytes() == Path(full.output_path).read_bytes()
-        # written back with the 12 keys: the record count and socialist primes come from the results file
-        assert list(json.loads(ckpt.read_text())) == [k for k in payload if k not in ("socialist", "output_records")]
+        # written back with the 11 keys: the record count and socialist primes come from the results file
+        assert list(json.loads(ckpt.read_text())) == [k for k in payload
+                                                      if k not in ("socialist", "output_records", "strict_cubic")]
 
     def test_version_1_checkpoint_is_refused(self, tmp_path):
         # version 1 carried no digest for its results file
@@ -991,43 +990,26 @@ class TestFailureBeforeTheFirstSegment:
 
 
 class TestStrictCheckpoint:
-    """A checkpoint of a strict_cubic search, stopped after 2 of its 18 segments."""
+    """A checkpoint that says "strict_cubic": true, as a search in that retired stage-2 mode wrote it."""
 
-    @pytest.fixture
-    def stopped(self, tmp_path):
-        strict = run_search(tmp_path, 7, 9000, name="full.jsonl", segment_size=512, strict_cubic=True)
-        loose = run_search(tmp_path, 7, 9000, name="loose.jsonl", segment_size=512)
-        want = Path(strict.output_path).read_bytes()
-        assert want != Path(loose.output_path).read_bytes()  # strictness shows in the bytes
-        ckpt, part = tmp_path / "strict.ckpt", tmp_path / "part.jsonl"
-        run_search(tmp_path, 7, 9000, name=part.name, segment_size=512, strict_cubic=True,
-                   checkpoint_path=str(ckpt), stop_after_segments=2)
-        assert json.loads(ckpt.read_text())["strict_cubic"] is True
-        return ckpt, part, want
-
-    def test_non_strict_resume_is_refused_before_any_file_is_opened(self, tmp_path, stopped):
-        ckpt, part, _ = stopped
-        before = ckpt.read_bytes(), part.read_bytes()
-        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ has strict_cubic True, not False$"):
-            resume(str(ckpt), strict_cubic=False)
-        with pytest.raises(CheckpointError, match=r"^checkpoint \S+ has strict_cubic True, not False$"):
-            resume(str(ckpt), output_path=str(tmp_path / "new.jsonl"), strict_cubic=False)
+    def test_non_strict_resume_is_refused_before_any_file_is_opened(self, tmp_path, capsys):
+        ckpt, payload = make_checkpoint(tmp_path)
+        Path(ckpt).write_text(json.dumps({**payload, "strict_cubic": True}))
+        files = [Path(ckpt), Path(payload["output_path"])]
+        before = [f.read_bytes() for f in files]
+        refused = r"^checkpoint \S+ is of a strict_cubic search; strict mode is retired$"
+        with pytest.raises(CheckpointError, match=refused):
+            resume(ckpt)
+        with pytest.raises(CheckpointError, match=refused):
+            resume(ckpt, output_path=str(tmp_path / "new.jsonl"))
         assert not (tmp_path / "new.jsonl").exists()
-        assert (ckpt.read_bytes(), part.read_bytes()) == before
-
-    @pytest.mark.parametrize("how", ["resume", "cli", "cli-strict-cubic"])
-    def test_resume_finishes_strict(self, capsys, stopped, how):
-        ckpt, part, want = stopped
-        if how == "resume":
-            assert resume(str(ckpt)).complete
-        else:
-            flags = ["--strict-cubic"] if how == "cli-strict-cubic" else []
-            assert main(["search", "--checkpoint", str(ckpt), "--threads", "1", *flags]) == 0
-        assert part.read_bytes() == want
+        assert main(["search", "--checkpoint", ckpt, "--threads", "1"]) == 1
+        assert "strict mode is retired" in capsys.readouterr().err
+        assert [f.read_bytes() for f in files] == before
 
 
 #: _segment_task's arguments for the segment [13, 14), whose one prime is a candidate
-SEGMENT_OF_13 = (13, 14, 3, False)
+SEGMENT_OF_13 = (13, 14, 3)
 
 
 @pytest.fixture

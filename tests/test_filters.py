@@ -121,12 +121,13 @@ class TestStageCubic:
         assert recheck_witness(p, hit[1] - 1, hit[1] + 5)
 
     def test_strict_rejects_a_shortcut_survivor(self):
-        # 853 passes by the (1957/p) == +1 shortcut yet owns a liftable root
+        # 853 passes by the (1957/p) == +1 shortcut yet owns a liftable root,
+        # which gap 6 in full, every root poly_roots finds, lifts to a collision
         assert jacobi(1957, 853) == 1
         assert stage_cubic(853) is None
-        hit = stage_cubic(853, strict=True)
-        assert hit is not None
-        assert six_term_product(hit[1], 853) == 1
+        x = gap_witness(6, 853)
+        assert x is not None
+        assert six_term_product(x, 853) == 1
 
     def test_symbol_table_is_jacobi_1957(self):
         # (1957/p) == (p/1957), as 1957 == 1 (mod 4); jacobi's modulus must be odd
@@ -138,17 +139,16 @@ class TestStageCubic:
             assert table[p % 1957] == jacobi(1957, p), p
         assert [r for r in range(1957) if table[r] == 0] == sorted({0, *range(19, 1957, 19), *range(103, 1957, 103)})
 
-    def test_strict_never_rejects_fewer(self):
-        for p in PRIMES_BELOW_10K:
-            if p < 7 or not stage_mod8(p) or stage_legendre(p) is not None:
-                continue
-            if stage_cubic(p) is not None:
-                assert stage_cubic(p, strict=True) is not None, p
-
 
 def gap_witness(g: int, p: int) -> int | None:
     """Gap g's witness for p from every root poly_roots finds."""
     return filters._gap_witness(g, poly_roots(filters._gap_polynomial(g), p), p)
+
+
+def gap6_in_full(p: int) -> tuple[int, int] | None:
+    """stage_cubic's (y, x) or None with no shortcut: gap_witness(6, p) over every root."""
+    x = gap_witness(6, p)
+    return None if x is None else (x * (x + 5) % p, x)
 
 
 def sqrt_domain(p: int) -> bool:
@@ -249,25 +249,14 @@ class TestLoneRoot:
         self.assert_equals_poly_roots(served)
 
     def test_stage2_identity_below_1e6(self, stage1_below_1e6):
-        # default and strict verdicts of every stage-1 survivor; the digest is
-        # what poly_roots alone gives for every root, so _lone_root moves no verdict
+        # stage 2's verdict and gap 6 in full of every stage-1 survivor; the
+        # digest is what poly_roots alone gives for every root, so _lone_root
+        # moves no verdict
         digest = hashlib.sha256()
         for p in stage1_below_1e6:
-            digest.update(f"{p} {stage_cubic(p)} {stage_cubic(p, strict=True)}\n".encode())
+            digest.update(f"{p} {stage_cubic(p)} {gap6_in_full(p)}\n".encode())
         assert len(stage1_below_1e6) == 4908
         assert digest.hexdigest() == "e333ad7c4d307b9d863b29bcc23fcea76a20d9c590bcef48aa8ab7f863b69960"
-
-    def test_strict_takes_the_lone_root_without_cubic_roots(self, monkeypatch):
-        # strict declines only the (1957/p) == +1 shortcut; the -1 class keeps _lone_root
-        served = [p for p in count_filters(7, 10**5).stage1_survivors if jacobi(1957, p) == -1]
-        default = [stage_cubic(p) for p in served]
-
-        def refused(*args):
-            raise AssertionError(f"cubic_roots{args} on the lone-root class")
-
-        monkeypatch.setattr(filters, "cubic_roots", refused)
-        assert [stage_cubic(p, strict=True) for p in served] == default
-        assert (len(served), sum(hit is not None for hit in default)) == (290, 143)
 
     @pytest.mark.parametrize("lo, hi, survivors, hexdigest", [
         (10**9 - 2**22, 10**9, 12578, "eaa7b56a8a9191c0433a05f1cb6303fd862feaacf7c747d162140833bf2b60e7"),
@@ -278,7 +267,7 @@ class TestLoneRoot:
         stage1 = count_filters(lo, hi).stage1_survivors
         digest = hashlib.sha256()
         for p in stage1:
-            digest.update(f"{p} {stage_cubic(p)} {stage_cubic(p, strict=True)}\n".encode())
+            digest.update(f"{p} {stage_cubic(p)} {gap6_in_full(p)}\n".encode())
         assert len(stage1) == survivors
         assert digest.hexdigest() == hexdigest
 
@@ -304,11 +293,11 @@ class TestRunPipeline:
                 assert jacobi(5, p) == -1 and jacobi(-23, p) == 1
 
 
-def pipeline_oracle(primes, strict=False):
+def pipeline_oracle(primes):
     """run_pipeline on each prime: the counts per OUTCOMES entry and the stage-1 survivors with (y, x) or None."""
     counts, survivors = dict.fromkeys(OUTCOMES, 0), []
     for p in primes:
-        outcome, witness = run_pipeline(p, strict)
+        outcome, witness = run_pipeline(p)
         counts[outcome] += 1
         if outcome in ("rejected_cubic", "candidates"):
             survivors.append((p, witness and (witness["y"], witness["x"])))
@@ -326,15 +315,15 @@ class TestSegmentOutcomes:
             assert (r % 40 in legendre5) == (stage_mod8(r) and stage_legendre(r) != "rejected_legendre5"), r
             assert (r in stage1) == (stage_mod8(r) and stage_legendre(r) is None), r
 
-    @given(st.one_of(st.just(7), st.integers(7, 23), st.integers(7, 10**7)), st.integers(1, 5000), st.booleans())
-    @example(7, 900, False).via("a segment narrower than 920 at the domain start")
-    @example(20, 4, True).via("the segment holding 23 alone")
-    @example(10**6 + 3, 919, True).via("narrower than 920, away from the start")
-    def test_equals_run_pipeline_per_prime(self, seg_lo, width, strict):
+    @given(st.one_of(st.just(7), st.integers(7, 23), st.integers(7, 10**7)), st.integers(1, 5000))
+    @example(7, 900).via("a segment narrower than 920 at the domain start")
+    @example(20, 4).via("the segment holding 23 alone")
+    @example(10**6 + 3, 919).via("narrower than 920, away from the start")
+    def test_equals_run_pipeline_per_prime(self, seg_lo, width):
         seg_hi = seg_lo + width
         base = small_primes(math.isqrt(seg_hi - 1))
-        got = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base), strict)
-        assert got == pipeline_oracle(primes_in_segment(seg_lo, seg_hi, base), strict)
+        got = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base))
+        assert got == pipeline_oracle(primes_in_segment(seg_lo, seg_hi, base))
 
 
 class TestCountFilters:
@@ -348,14 +337,6 @@ class TestCountFilters:
         assert fc.candidates == 8
         assert fc.stage1_survivors == SURVIVORS_BELOW_1000
         assert fc.stage2_survivors == [13, 173, 277, 397, 653, 853, 877, 997]
-        assert_partition(fc)
-
-    def test_below_1000_strict(self):
-        fc = count_filters(7, 1000, strict=True)
-        assert fc.rejected_cubic == 4
-        assert fc.candidates == 6
-        # strictness moves primes between stage-2 verdicts, never out of stage 1
-        assert fc.stage1_survivors == SURVIVORS_BELOW_1000
         assert_partition(fc)
 
     def test_at_100000_frozen(self):
@@ -382,13 +363,12 @@ class TestCountFilters:
     @pytest.mark.parametrize("lo, hi", [(7, 2**16 + 1), (1000, 3 * 2**16 + 917), (10**8 + 5, 10**8 + 2**17 - 3)])
     def test_ranges_off_the_segment_grid_equal_run_pipeline(self, lo, hi):
         # count_filters walks segments from lo, 2^16 wide for each of these; neither end is on that grid
-        for strict in (False, True):
-            fc = count_filters(lo, hi, strict)
-            counts, survivors = pipeline_oracle(enumerate_primes(PrimeRange(lo, hi, 4096)), strict)
-            assert list(fc[2:8]) == [sum(counts), *counts], (lo, hi, strict)
-            assert fc.stage1_survivors == [p for p, _ in survivors]
-            assert fc.stage2_survivors == [p for p, hit in survivors if hit is None]
-            assert_partition(fc)
+        fc = count_filters(lo, hi)
+        counts, survivors = pipeline_oracle(enumerate_primes(PrimeRange(lo, hi, 4096)))
+        assert list(fc[2:8]) == [sum(counts), *counts], (lo, hi)
+        assert fc.stage1_survivors == [p for p, _ in survivors]
+        assert fc.stage2_survivors == [p for p, hit in survivors if hit is None]
+        assert_partition(fc)
 
     def test_worked_out_segments_near_1e9_equal_a_walk_at_2_16(self, monkeypatch):
         lo, hi = 10**9 - 2**20 + 3, 10**9 - 5
@@ -400,7 +380,7 @@ class TestCountFilters:
         base = small_primes(math.isqrt(hi - 1))
         tally, survivors = [0] * len(OUTCOMES), []
         for seg_lo, seg_hi in PrimeRange(lo, hi, 2**16).segments():
-            counts, hits = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base), False)
+            counts, hits = segment_outcomes(seg_lo, seg_hi, segment_flags(seg_lo, seg_hi, base))
             tally = [a + b for a, b in zip(tally, counts)]
             survivors += hits
         assert list(fc[2:8]) == [sum(tally), *tally]
@@ -437,26 +417,20 @@ class TestTracedNames:
             monkeypatch.setattr(filters, name, counted)
         return calls
 
-    def expected(self, strict=False):
+    def expected(self):
         stage1 = [p for p in self.PRIMES if p % 8 == 5 and jacobi(5, p) == -1 and jacobi(-23, p) == 1]
         return {
             "stage_mod8": [],
             "stage_legendre": [],
             "stage_cubic": stage1,
-            # _lone_root serves (1957/p) == -1 in both modes, so by default only
-            # p | 1957 finds roots, and strict adds (1957/p) == +1
-            "cubic_roots": [p for p in stage1 if (jacobi(1957, p) != -1 if strict else jacobi(1957, p) == 0)],
+            # only p | 1957, 19 and 103, finds roots, and stage 0 rejects both
+            "cubic_roots": [],
         }
 
     def test_count_filters_calls_each_stage(self, calls):
         fc = count_filters(7, 10**4)
         assert calls == self.expected()
         assert fc.stage1_survivors == calls["stage_cubic"]
-
-    def test_strict_count_filters_finds_roots_off_the_lone_root_class(self, calls):
-        fc = count_filters(7, 10**4, strict=True)
-        assert calls == self.expected(strict=True)
-        assert [p for p in fc.stage1_survivors if jacobi(1957, p) != -1] == calls["cubic_roots"]
 
     def test_search_calls_each_stage(self, calls, tmp_path):
         report = search(SearchConfig(range=PrimeRange(7, 10**4, 1024), output_path=str(tmp_path / "o.jsonl")))

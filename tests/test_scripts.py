@@ -25,14 +25,6 @@ REPRODUCE_ROWS_1000_100000 = [
     "stage-1 survivors below 1,000: 13 173 197 277 317 397 653 853 877 997",
 ]
 
-#: the same table with --strict-cubic: only the two stage-2 rows move
-STRICT_ROWS_1000_100000 = [
-    *REPRODUCE_ROWS_1000_100000[:5],
-    "rejected cubic              4      254",
-    "candidates                  6      336",
-    *REPRODUCE_ROWS_1000_100000[7:],
-]
-
 
 def run_script(name, *args, cwd=None):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -53,8 +45,11 @@ def test_reproduce_counts_rows():
     assert reproduce_counts_rows() == REPRODUCE_ROWS_1000_100000
 
 
-def test_reproduce_counts_strict_rows():
-    assert reproduce_counts_rows("--strict-cubic") == STRICT_ROWS_1000_100000
+def test_reproduce_counts_has_no_strict_cubic():
+    # strict mode is retired: argparse refuses the flag with its usage code, 2
+    done = run_script("reproduce_counts.py", "--limits", "1000", "--strict-cubic")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "unrecognized arguments: --strict-cubic" in done.stderr
 
 
 def test_search_billion_legs_match_one_search(tmp_path):
